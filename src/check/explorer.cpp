@@ -13,7 +13,6 @@
 #include "common/serde.hpp"
 #include "exec/work_steal.hpp"
 #include "fbl/frame.hpp"
-#include "net/reliable.hpp"
 #include "obs/perfetto.hpp"
 #include "runtime/cluster.hpp"
 
@@ -77,33 +76,11 @@ app::AppFactory explorer_workload(const FaultSchedule& s) {
   };
 }
 
-/// View of the fbl frame inside a wire payload. With the reliable transport
-/// enabled, protocol frames travel behind its data header — injections that
-/// target *application* frames must look through it, or their coordinates
-/// would silently stop matching on lossy schedules. Empty when the payload
-/// is a transport ack or malformed.
-std::span<const std::byte> frame_view(const Bytes& payload) {
-  if (payload.empty()) return {};
-  if (std::to_integer<std::uint8_t>(payload[0]) != net::ReliableTransport::kDataByte) {
-    return {payload.data(), payload.size()};
-  }
-  try {
-    BufReader r(payload);
-    (void)r.u8();      // data marker
-    (void)r.u32();     // epoch
-    (void)r.varint();  // stream
-    (void)r.varint();  // seq
-    return r.raw(r.remaining());
-  } catch (const SerdeError&) {
-    return {};
-  }
-}
-
+/// With the reliable transport enabled, protocol frames travel inside its
+/// envelope — injections that target *application* frames must look through
+/// it, or their coordinates would silently stop matching on lossy schedules.
 bool is_app_frame(const Bytes& payload) {
-  const auto frame = frame_view(payload);
-  return !frame.empty() &&
-         std::to_integer<std::uint8_t>(frame[0]) ==
-             static_cast<std::uint8_t>(fbl::FrameKind::kApp);
+  return fbl::carried_kind(payload) == fbl::FrameKind::kApp;
 }
 
 /// Stateless loss draw for `loss:` coordinates: a pure function of the
@@ -172,7 +149,7 @@ RunOutcome ScheduleExplorer::run(const FaultSchedule& schedule, RunCapture* capt
   st.cluster = &cluster;
   st.fired.assign(schedule.injections.size(), false);
 
-  cluster.set_phase_probe([&st](const recovery::PhaseEventInfo& info) {
+  cluster.set_phase_probe([&st](const trace::PhaseEventInfo& info) {
     ++st.phase_events;
     const auto slot = static_cast<std::size_t>(info.phase);
     if (slot < st.phase_count.size()) ++st.phase_count[slot];
@@ -191,7 +168,7 @@ RunOutcome ScheduleExplorer::run(const FaultSchedule& schedule, RunCapture* capt
         // machine synchronously, even with delay == 0.
         st.cluster->crash_at(victim, st.cluster->sim().now() + inj.delay);
       } else if (inj.kind == Injection::Kind::kTreeCrash) {
-        if (info.phase != recovery::PhaseId::kGatherStarted) continue;
+        if (info.phase != trace::PhaseId::kGatherStarted) continue;
         if (inj.occurrence != occurrence) continue;
         // Resolve the tree position against this round's participant set:
         // every non-recovering pid in ascending order — the same sorted
@@ -247,7 +224,7 @@ RunOutcome ScheduleExplorer::run(const FaultSchedule& schedule, RunCapture* capt
               // the protocol layer rather than die in sequence dedup.
               if (chan_index == inj.index && is_app_frame(payload)) {
                 st.cluster->network().inject(
-                    src, dst, BufferPool::global().copy_of(frame_view(payload)),
+                    src, dst, BufferPool::global().copy_of(fbl::inner_frame(payload)),
                     inj.delay);
                 ++st.applied;
               }
@@ -504,7 +481,7 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
     inj.at = at;
     return inj;
   };
-  auto pcrash = [](recovery::PhaseId phase, std::uint32_t k, Duration delay = kDurationZero) {
+  auto pcrash = [](trace::PhaseId phase, std::uint32_t k, Duration delay = kDurationZero) {
     Injection inj;
     inj.kind = Injection::Kind::kPhaseCrash;
     inj.victim = Injection::kFirer;
@@ -598,7 +575,7 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
           s.seeded_bug = true;
           s.injections = {crash(a, seconds(2)), crash(b, milliseconds(2300))};
           if (variant == 1) {
-            s.injections.push_back(pcrash(recovery::PhaseId::kGatherStarted, 1));
+            s.injections.push_back(pcrash(trace::PhaseId::kGatherStarted, 1));
           }
           out.push_back(std::move(s));
           if (options.max_runs != 0 && out.size() >= options.max_runs) return out;
@@ -639,14 +616,14 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
 
       // --- the original eleven (one crash, phase re-crashes, packet noise)
       emit({crash(a, seconds(2))});
-      emit({crash(a, seconds(2)), pcrash(recovery::PhaseId::kLeaderElected, 1)});
-      emit({crash(a, seconds(2)), pcrash(recovery::PhaseId::kGatherStarted, 1)});
-      emit({crash(a, seconds(2)), pcrash(recovery::PhaseId::kIncVectorBuilt, 1)});
-      emit({crash(a, seconds(2)), pcrash(recovery::PhaseId::kDepinfoCollected, 1)});
-      emit({crash(a, seconds(2)), pcrash(recovery::PhaseId::kReplayStarted, 1)});
+      emit({crash(a, seconds(2)), pcrash(trace::PhaseId::kLeaderElected, 1)});
+      emit({crash(a, seconds(2)), pcrash(trace::PhaseId::kGatherStarted, 1)});
+      emit({crash(a, seconds(2)), pcrash(trace::PhaseId::kIncVectorBuilt, 1)});
+      emit({crash(a, seconds(2)), pcrash(trace::PhaseId::kDepinfoCollected, 1)});
+      emit({crash(a, seconds(2)), pcrash(trace::PhaseId::kReplayStarted, 1)});
       if (cell.f >= 2) {  // leader failure during a concurrent round
         emit({crash(a, seconds(2)), crash(b, milliseconds(2300)),
-              pcrash(recovery::PhaseId::kGatherStarted, 1)});
+              pcrash(trace::PhaseId::kGatherStarted, 1)});
       } else {  // sequential re-crash after full recovery
         emit({crash(a, seconds(2)), crash(a, seconds(5))});
       }
@@ -661,8 +638,8 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
 
       // --- delayed phase crashes: the victim dies shortly *after* the
       // phase boundary, mid-flight inside the follow-on work.
-      for (const recovery::PhaseId phase :
-           {recovery::PhaseId::kGatherStarted, recovery::PhaseId::kReplayStarted}) {
+      for (const trace::PhaseId phase :
+           {trace::PhaseId::kGatherStarted, trace::PhaseId::kReplayStarted}) {
         for (const Duration d : {milliseconds(10), milliseconds(100)}) {
           emit({crash(a, seconds(2)), pcrash(phase, 1, d)});
         }
@@ -670,8 +647,8 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
 
       // --- cascading leader failovers: kill the leader at each successive
       // occurrence of the phase, so leadership hops ordinals repeatedly.
-      for (const recovery::PhaseId phase :
-           {recovery::PhaseId::kLeaderElected, recovery::PhaseId::kGatherStarted}) {
+      for (const trace::PhaseId phase :
+           {trace::PhaseId::kLeaderElected, trace::PhaseId::kGatherStarted}) {
         for (const std::uint32_t depth : {2u, 3u}) {
           std::vector<Injection> cascade{crash(a, seconds(2))};
           for (std::uint32_t k = 1; k <= depth; ++k) cascade.push_back(pcrash(phase, k));
@@ -757,7 +734,7 @@ std::vector<FaultSchedule> ScheduleExplorer::matrix(const ExploreOptions& option
         emit_tree({crash(a, seconds(2))});
         // The leader itself dies with the tree armed: failover must
         // rebuild the tree from the new leader.
-        emit_tree({crash(a, seconds(2)), pcrash(recovery::PhaseId::kGatherStarted, 1)});
+        emit_tree({crash(a, seconds(2)), pcrash(trace::PhaseId::kGatherStarted, 1)});
         if (cell.f >= 2) {
           // A relay crash is a second overlapping failure: the victim is
           // still recovering when the relay dies, and with pruning a

@@ -56,11 +56,11 @@ std::string to_string(const Injection& inj) {
       }
       if (inj.delay > 0) {
         std::snprintf(buf, sizeof buf, "pcrash:%s@%s#%u+%lld", victim,
-                      recovery::to_string(inj.phase), inj.occurrence,
+                      trace::to_string(inj.phase), inj.occurrence,
                       static_cast<long long>(inj.delay));
       } else {
         std::snprintf(buf, sizeof buf, "pcrash:%s@%s#%u", victim,
-                      recovery::to_string(inj.phase), inj.occurrence);
+                      trace::to_string(inj.phase), inj.occurrence);
       }
       break;
     }
@@ -136,7 +136,7 @@ bool parse_injection(std::string_view s, Injection& out) {
     const auto hash = s.find('#');
     if (hash == std::string_view::npos) return false;
     const std::string phase_name(s.substr(0, hash));
-    if (!recovery::parse_phase(phase_name.c_str(), inj.phase)) return false;
+    if (!trace::parse_phase(phase_name.c_str(), inj.phase)) return false;
     s.remove_prefix(hash + 1);
     if (!eat_u64(s, v) || v == 0 || v > 0xffffffffULL) return false;
     inj.occurrence = static_cast<std::uint32_t>(v);

@@ -4,7 +4,7 @@
 // horizon and a list of injections — such that executing it twice yields
 // bit-identical simulations. Injections are addressed by coordinates that
 // survive re-execution: absolute virtual time for plain crashes, *protocol
-// phase occurrences* for phase crashes (see recovery/phase_hook.hpp), and
+// phase occurrences* for phase crashes (see trace/phase_hook.hpp), and
 // per-channel send indices for packet faults (see net::FaultHook).
 //
 // The whole schedule round-trips through a single `--replay` line, so a
@@ -74,7 +74,7 @@
 
 #include "common/time.hpp"
 #include "common/types.hpp"
-#include "recovery/phase_hook.hpp"
+#include "trace/phase_hook.hpp"
 #include "recovery/recovery_manager.hpp"
 
 namespace rr::check {
@@ -106,7 +106,7 @@ struct Injection {
   ProcessId victim{0};    ///< kCrashAt / kPhaseCrash (kFirer = event source) / kStall /
                           ///< kPartition / kFlap
   Time at{0};             ///< kCrashAt / kPartition / kFlap: absolute time
-  recovery::PhaseId phase{recovery::PhaseId::kLeaderElected};  ///< kPhaseCrash
+  trace::PhaseId phase{trace::PhaseId::kLeaderElected};  ///< kPhaseCrash
   std::uint32_t occurrence{1};  ///< kPhaseCrash: 1-based k-th global firing
   Duration delay{0};      ///< kPhaseCrash/kStale/kDelay/kStall extra duration;
                           ///< kPartition/kFlap: isolation window length

@@ -12,10 +12,11 @@
 //  * garbage collection: determinants whose destination has checkpointed
 //    past their rsn can never be replayed and are dropped.
 //
-// The send path runs per message, so the log maintains two incremental
+// The send path runs per message, so the log maintains incremental
 // indices: `active_` (piggyback candidates — below the propagation
-// threshold and not stable) and `unstable_` (not yet flushed to stable
-// storage, used by the f = n instance). Gather-time queries (slice_for,
+// threshold and not stable), `unstable_` (not yet flushed to stable
+// storage, used by the f = n instance) and per-destination pending work;
+// no update visits every destination. Gather-time queries (slice_for,
 // max_ssn) may scan; they run once per recovery, not per message.
 //
 // The holder mask a process keeps is its *local knowledge* — possibly
@@ -100,21 +101,30 @@ class DeterminantLog {
   [[nodiscard]] bool is_active(const HeldDeterminant& h) const {
     return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < threshold_;
   }
-  void index(const Key& key, const HeldDeterminant& h);
-  void unindex(const Key& key);
+  struct Entry {
+    HeldDeterminant held;
+    /// Key in active_by_seq_; 0 while inactive, new on each (re)activation.
+    std::uint64_t active_seq{0};
+  };
 
-  /// Pending piggyback work for one destination, built lazily on the first
-  /// send to it and maintained incrementally after that: exactly the active
-  /// determinants not known to be held by that destination. make_frame's
-  /// optimistic holder marking drains it, so steady-state sends cost
-  /// O(newly created determinants), not O(log size).
-  std::set<Key>& pending_for(ProcessId to) const;
+  /// One destination's pending piggyback work: the active entries it is not
+  /// known to hold among those activated before `cursor`, plus stale keys
+  /// piggyback_for drops. A steady-state send costs O(new activations).
+  struct Pending {
+    std::uint64_t cursor{0};
+    std::set<Key> keys;
+  };
+
+  void index(const Key& key, Entry& e, bool lost_holder);
+  void unindex(const Key& key, const Entry& e);
 
   int threshold_{64};  // effectively "keep propagating" until configured
-  std::map<Key, HeldDeterminant> by_dest_rsn_;
+  std::map<Key, Entry> by_dest_rsn_;
   std::set<Key> active_;    // piggyback candidates
+  std::map<std::uint64_t, Key> active_by_seq_;  // the same, in activation order
+  std::uint64_t next_seq_{1};
   std::set<Key> unstable_;  // not on stable storage
-  mutable std::map<ProcessId, std::set<Key>> pending_by_dest_;
+  mutable std::map<ProcessId, Pending> pending_by_dest_;
 };
 
 }  // namespace rr::fbl

@@ -12,7 +12,7 @@ void SendLog::record(ProcessId to, Ssn ssn, Bytes payload) {
                "send log ssn must be strictly increasing per destination");
   total_bytes_ += payload.size();
   ++total_;
-  dest.emplace(ssn, std::move(payload));
+  dest.emplace_hint(dest.end(), ssn, std::move(payload));  // ssn order: O(1)
 }
 
 const Bytes* SendLog::find(ProcessId to, Ssn ssn) const {

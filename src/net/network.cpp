@@ -167,12 +167,7 @@ void Network::schedule_delivery(Time at, ProcessId src, ProcessId dst, Bytes pay
   });
 }
 
-std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
-  // The transport's retransmit hint is one-shot and consumed on *every*
-  // path through send(), so a retransmission dropped below cannot mislabel
-  // the sender's next packet in the ledger.
-  const bool retransmit =
-      ledger_ != nullptr && ledger_->take_retransmit_hint(src.value);
+std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload, bool retransmit) {
   const auto src_it = endpoints_.find(src);
   if (src_it == endpoints_.end() || !src_it->second.up) {
     metrics_.counter("net.drop.down").add();
@@ -238,9 +233,8 @@ std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
         fault_draw(kTagReorder, key, chan_index) % (window + 1));
   }
 
-  if (tracer_ != nullptr && !payload.empty()) {
-    tracer_->on_packet(sim_.now(), deliver_at, src.value, dst.value, bytes,
-                       static_cast<std::uint32_t>(payload[0]));
+  if (tracer_ != nullptr) {
+    tracer_->on_packet(sim_.now(), deliver_at, src.value, dst.value, bytes, payload);
   }
 
   if (lossy && dup_ppm_ != 0 &&
@@ -262,10 +256,9 @@ std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
 void Network::inject(ProcessId src, ProcessId dst, Bytes payload, Duration delay) {
   RR_CHECK(delay >= 0);
   metrics_.counter("net.injected_stale").add();
-  if (tracer_ != nullptr && !payload.empty()) {
+  if (tracer_ != nullptr) {
     tracer_->on_packet(sim_.now(), sim_.now() + delay, src.value, dst.value,
-                       payload.size() + kHeaderBytes,
-                       static_cast<std::uint32_t>(payload[0]));
+                       payload.size() + kHeaderBytes, payload);
   }
   // Bypasses sender liveness and the FIFO horizon (that is the point of a
   // stale straggler), but not the destination's down/partition wall.

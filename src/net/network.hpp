@@ -142,24 +142,24 @@ class Network {
 
   /// Enqueue a packet. Returns the number of bytes charged (payload +
   /// per-packet header overhead), or 0 if it was dropped at send time.
-  std::size_t send(ProcessId src, ProcessId dst, Bytes payload);
+  /// `retransmit` marks a reliable-transport re-send for the cost ledger:
+  /// its bytes equal the first transmission's, so only the sender knows.
+  std::size_t send(ProcessId src, ProcessId dst, Bytes payload, bool retransmit = false);
 
   /// send() to every attached endpoint except `src`.
   void broadcast(ProcessId src, const Bytes& payload);
 
   /// Install (or clear, with nullptr) the span tracer tap. Every accepted
-  /// packet reports (send time, delivery time, endpoints, size, first
-  /// payload byte) — both endpoints of the interval are known at send time,
-  /// so the tap is a single call with no matching state.
+  /// packet reports (send time, delivery time, endpoints, size, payload) —
+  /// both endpoints of the interval are known at send time, so the tap is a
+  /// single call with no matching state.
   void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
 
   /// Install (or clear, with nullptr) the cost-attribution ledger. Every
   /// accepted packet is classified at the exact site where "net.bytes" is
   /// charged, so the ledger's category totals partition that counter (the
-  /// V10 conservation oracle). The reliable transport marks retransmissions
-  /// via ledger()->note_retransmit() just before re-sending.
+  /// V10 conservation oracle).
   void set_ledger(obs::CostLedger* ledger) { ledger_ = ledger; }
-  [[nodiscard]] obs::CostLedger* ledger() const noexcept { return ledger_; }
 
   /// Install (or clear, with nullptr) the per-packet fault hook. Applies
   /// extra delay *before* the FIFO horizon, so injected delays push the

@@ -4,19 +4,9 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "obs/ledger.hpp"
+#include "fbl/frame.hpp"
 
 namespace rr::net {
-
-namespace {
-
-/// Mark the next packet from `self` as a retransmission for the cost
-/// ledger (one-shot; Network::send consumes it on every path).
-void hint_retransmit(Network& network, ProcessId self) {
-  if (obs::CostLedger* ledger = network.ledger()) ledger->note_retransmit(self.value);
-}
-
-}  // namespace
 
 namespace {
 
@@ -56,17 +46,6 @@ bool ReliableTransport::is_raw_peer(ProcessId peer) const {
   return std::binary_search(raw_peers_.begin(), raw_peers_.end(), peer);
 }
 
-Bytes ReliableTransport::wrap(const SendChannel& ch, std::uint64_t seq,
-                              std::span<const std::byte> inner) const {
-  BufWriter w(inner.size() + 32);
-  w.u8(kDataByte);
-  w.u32(epoch_);
-  w.varint(ch.stream);
-  w.varint(seq);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 std::size_t ReliableTransport::send_raw(ProcessId dst, Bytes payload) {
   return network_.send(self_, dst, std::move(payload));
 }
@@ -81,7 +60,7 @@ std::size_t ReliableTransport::send(ProcessId dst, Bytes payload) {
 
   const std::uint64_t seq = ch.next_seq++;
   const std::uint64_t msg = ch.next_msg++;
-  Bytes wire = wrap(ch, seq, payload);
+  Bytes wire = fbl::encode_envelope(epoch_, ch.stream, seq, payload);
   BufferPool::global().release(std::move(payload));
   ch.unacked.push_back({seq, msg, BufferPool::global().copy_of(wire)});
   // While the peer is unreachable only the queue head probes the link:
@@ -124,8 +103,7 @@ void ReliableTransport::on_timeout(ProcessId dst) {
     const Unacked& u = ch.unacked[i];
     metrics_.counter("net.retransmit").add();
     metrics_.counter("net.retransmit_bytes").add(u.wire.size() + Network::kHeaderBytes);
-    hint_retransmit(network_, self_);
-    network_.send(self_, dst, BufferPool::global().copy_of(u.wire));
+    network_.send(self_, dst, BufferPool::global().copy_of(u.wire), /*retransmit=*/true);
   }
 
   if (ch.retries < config_.max_retries) ++ch.retries;
@@ -166,21 +144,15 @@ void ReliableTransport::restart_stream(ProcessId peer, SendChannel& ch) {
     if (peer_signal_) peer_signal_(peer, false);
   }
   for (Unacked& u : ch.unacked) {
-    BufReader r(u.wire);
-    (void)r.u8();
-    (void)r.u32();
-    (void)r.varint();
-    (void)r.varint();
-    const std::span<const std::byte> inner = r.raw(r.remaining());
     const std::uint64_t seq = ch.next_seq++;
-    Bytes rewrapped = wrap(ch, seq, inner);
+    Bytes rewrapped =
+        fbl::encode_envelope(epoch_, ch.stream, seq, fbl::decode_envelope(u.wire).inner);
     BufferPool::global().release(std::move(u.wire));
     u.seq = seq;
     u.wire = std::move(rewrapped);
     metrics_.counter("net.retransmit").add();
     metrics_.counter("net.retransmit_bytes").add(u.wire.size() + Network::kHeaderBytes);
-    hint_retransmit(network_, self_);
-    network_.send(self_, peer, BufferPool::global().copy_of(u.wire));
+    network_.send(self_, peer, BufferPool::global().copy_of(u.wire), /*retransmit=*/true);
   }
   if (ch.timer.valid()) sim_.cancel(ch.timer);
   ch.timer = sim::kNoEvent;
@@ -188,42 +160,28 @@ void ReliableTransport::restart_stream(ProcessId peer, SendChannel& ch) {
 }
 
 void ReliableTransport::send_ack(ProcessId dst, const RecvChannel& ch) {
-  BufWriter w(32);
-  w.u8(kAckByte);
-  w.u32(ch.epoch);
-  w.varint(ch.stream);
-  w.varint(ch.delivered);
-  // The acker announces its own incarnation: a sender that only ever hears
-  // acks from this peer (one-directional channel) still learns its epoch,
-  // so a later epoch bump in the peer's data is recognized as a restart.
-  w.u32(epoch_);
   metrics_.counter("transport.acks").add();
-  network_.send(self_, dst, std::move(w).take());
+  network_.send(self_, dst,
+                fbl::encode_transport_ack({ch.epoch, ch.stream, ch.delivered, epoch_}));
 }
 
 void ReliableTransport::on_ack(ProcessId src, const Bytes& payload) {
-  BufReader r(payload);
-  (void)r.u8();
-  const Incarnation epoch_echo = r.u32();
-  const std::uint64_t stream_echo = r.varint();
-  const std::uint64_t cum = r.varint();
-  const Incarnation acker_epoch = r.u32();
-  r.expect_done();
+  const fbl::TransportAck ack = fbl::decode_transport_ack(payload);
 
   const auto it = send_.find(src);
   if (it == send_.end()) return;
   SendChannel& ch = it->second;
-  ch.peer_epoch = std::max(ch.peer_epoch, acker_epoch);
-  if (epoch_echo != epoch_ || stream_echo != ch.stream) return;  // stale ack
+  ch.peer_epoch = std::max(ch.peer_epoch, ack.acker_epoch);
+  if (ack.epoch != epoch_ || ack.stream != ch.stream) return;  // stale ack
   bool progressed = false;
   std::uint64_t acked_msg = 0;
-  while (!ch.unacked.empty() && ch.unacked.front().seq <= cum) {
+  while (!ch.unacked.empty() && ch.unacked.front().seq <= ack.cum) {
     acked_msg = ch.unacked.front().msg;
     BufferPool::global().release(std::move(ch.unacked.front().wire));
     ch.unacked.pop_front();
     progressed = true;
   }
-  ch.acked = std::max(ch.acked, cum);
+  ch.acked = std::max(ch.acked, ack.cum);
   if (!progressed) return;
   ch.retries = 0;
   ch.rto = config_.rto_initial;
@@ -245,12 +203,8 @@ void ReliableTransport::deliver_up(ProcessId src, Bytes payload, std::size_t off
 }
 
 void ReliableTransport::on_data(ProcessId src, Bytes payload) {
-  BufReader r(payload);
-  (void)r.u8();
-  const Incarnation e = r.u32();
-  const std::uint64_t s = r.varint();
-  const std::uint64_t q = r.varint();
-  const std::size_t offset = payload.size() - r.remaining();
+  const auto [e, s, q, inner] = fbl::decode_envelope(payload);
+  const std::size_t offset = payload.size() - inner.size();
 
   RecvChannel& ch = recv_[src];
   const int order = cmp_channel(e, s, ch.epoch, ch.stream);
@@ -326,15 +280,7 @@ void ReliableTransport::on_data(ProcessId src, Bytes payload) {
       Bytes held = std::move(h->second);
       cur.held.erase(h);
       cur.delivered += 1;
-      std::size_t held_offset;
-      {
-        BufReader hr(held);
-        (void)hr.u8();
-        (void)hr.u32();
-        (void)hr.varint();
-        (void)hr.varint();
-        held_offset = held.size() - hr.remaining();
-      }
+      const std::size_t held_offset = held.size() - fbl::decode_envelope(held).inner.size();
       deliver_up(src, std::move(held), held_offset);
     }
   }
@@ -357,12 +303,12 @@ void ReliableTransport::on_wire(ProcessId src, Bytes payload) {
   }
   const auto first = static_cast<std::uint8_t>(payload[0]);
   try {
-    if (first == kAckByte) {
+    if (first == fbl::kTransportAck) {
       on_ack(src, payload);
       BufferPool::global().release(std::move(payload));
       return;
     }
-    if (first == kDataByte) {
+    if (first == fbl::kTransportData) {
       on_data(src, std::move(payload));
       return;
     }

@@ -8,7 +8,7 @@
 // protocol above keeps seeing the channel semantics its proofs require.
 //
 // Incarnations double as transport epochs. A wire frame carries
-// (epoch, stream, seq): `epoch` is the sender's incarnation (bumped by its
+// (epoch, stream, seq) in the envelope fbl/frame.hpp defines: `epoch` is the sender's incarnation (bumped by its
 // restarts), `stream` restarts the sequence space within an epoch whenever
 // the sender observes that the *receiver* restarted (its frames arrive with
 // a higher epoch), and `seq` counts data frames in the stream from 1.
@@ -82,11 +82,6 @@ class ReliableTransport {
   /// consumers must treat a confirmed-then-crashed peer as lossy (the
   /// recovery protocol's forget-holder pass does exactly that).
   using AckSignal = std::function<void(ProcessId dst, std::uint64_t msg)>;
-
-  /// First wire byte of a transport data / ack frame. Chosen outside the
-  /// fbl::FrameKind range so raw (unwrapped) frames pass through untouched.
-  static constexpr std::uint8_t kDataByte = 0xD7;
-  static constexpr std::uint8_t kAckByte = 0xA7;
 
   ReliableTransport(sim::Simulator& sim, Network& network, ProcessId self,
                     TransportConfig config, metrics::Registry& metrics);
@@ -178,8 +173,6 @@ class ReliableTransport {
   };
 
   [[nodiscard]] bool is_raw_peer(ProcessId peer) const;
-  [[nodiscard]] Bytes wrap(const SendChannel& ch, std::uint64_t seq,
-                           std::span<const std::byte> inner) const;
   void arm_timer(ProcessId dst, SendChannel& ch, Duration delay);
   void on_timeout(ProcessId dst);
   void on_ack(ProcessId src, const Bytes& payload);

@@ -4,19 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "fbl/inc_vector.hpp"
+
 namespace rr::obs {
 namespace {
-
-// Wire constants this classifier parses against. The frame kinds come from
-// fbl/frame.hpp; the control sub-kinds mirror recovery/messages.cpp's
-// CtrlKind (obs cannot include recovery — tests/obs_ledger_test.cpp pins
-// the agreement byte-for-byte against recovery::encode_control).
-constexpr std::uint8_t kFrameApp = 1;
-constexpr std::uint8_t kFrameHeartbeat = 2;
-constexpr std::uint8_t kFrameCkptNotice = 3;
-constexpr std::uint8_t kFrameControl = 4;
-constexpr std::uint8_t kFrameSnapshot = 5;
-constexpr std::uint8_t kCtrlDepRequest = 7;
 
 constexpr const char* kCategoryNames[kCostCategoryCount] = {
     "app_payload",
@@ -48,17 +39,6 @@ constexpr const char* kCategoryNames[kCostCategoryCount] = {
     "ctrl.det_ack",
 };
 
-/// Skip one encoded HeldDeterminant: Determinant (u32 source, u64 ssn,
-/// u32 dest, u64 rsn) + sparse holder list (varint count + varint bits).
-void skip_held_determinant(BufReader& r) {
-  (void)r.u32();
-  (void)r.u64();
-  (void)r.u32();
-  (void)r.u64();
-  const auto holders = r.count(1);
-  for (std::uint64_t i = 0; i < holders; ++i) (void)r.varint();
-}
-
 }  // namespace
 
 const char* to_string(CostCategory c) {
@@ -73,7 +53,6 @@ CostLedger::CostLedger(CostLedgerConfig config, metrics::Registry& metrics)
     frames_counter_[i] = &metrics_.counter("ledger.frames." + suffix);
   }
   per_node_.assign((config_.num_nodes + std::size_t{1}) * kCostCategoryCount, 0);
-  retransmit_hint_.assign(config_.num_nodes + std::size_t{1}, 0);
 }
 
 void CostLedger::record(std::uint32_t slot, CostCategory c, std::uint64_t bytes,
@@ -94,49 +73,33 @@ void CostLedger::on_wire(std::uint32_t src, std::span<const std::byte> payload,
     record(slot, CostCategory::kTransportRetransmit, total, 1);
     return;
   }
-  if (payload.empty()) {
+  if (!payload.empty() &&
+      std::to_integer<std::uint8_t>(payload[0]) == fbl::kTransportAck) {
+    record(slot, CostCategory::kTransportAck, total, 1);
+    return;
+  }
+  // A data envelope's own bytes stay charged with its inner frame, so the
+  // wrapper never smears the frame's category.
+  const std::span<const std::byte> frame = fbl::inner_frame(payload);
+  if (frame.empty()) {
     record(slot, CostCategory::kOther, total, 1);
     return;
   }
-  const auto lead = static_cast<std::uint32_t>(payload[0]);
   try {
-    if (lead == config_.transport_ack_byte) {
-      record(slot, CostCategory::kTransportAck, total, 1);
-      return;
-    }
-    if (lead == config_.transport_data_byte) {
-      // Strip the reliable-transport header ([magic][u32 epoch]
-      // [varint stream][varint seq]) so the wrapper never smears the inner
-      // frame's category; the wrapper bytes stay charged with the frame.
-      BufReader r(payload);
-      (void)r.u8();
-      (void)r.u32();
-      (void)r.varint();
-      (void)r.varint();
-      classify_frame(slot, r.raw(r.remaining()), total);
-      return;
-    }
-    classify_frame(slot, payload, total);
+    classify_frame(slot, frame, total);
   } catch (const SerdeError&) {
     record(slot, CostCategory::kOther, total, 1);
   }
 }
 
-void CostLedger::classify_frame(std::uint32_t slot,
-                                std::span<const std::byte> payload,
+void CostLedger::classify_frame(std::uint32_t slot, std::span<const std::byte> frame,
                                 std::uint64_t total) {
-  BufReader r(payload);
-  switch (r.u8()) {
-    case kFrameApp: {
-      // u32 inc, u64 ssn, varint n, n HeldDeterminants, bytes payload. The
-      // piggybacked determinant region is carved out of the app charge; the
-      // frame itself counts once, under app_payload.
-      (void)r.u32();
-      (void)r.u64();
-      const auto n = r.count(1);
-      const std::size_t before = r.remaining();
-      for (std::uint64_t i = 0; i < n; ++i) skip_held_determinant(r);
-      const std::uint64_t piggyback = before - r.remaining();
+  BufReader r(frame);
+  switch (static_cast<fbl::FrameKind>(r.u8())) {
+    case fbl::FrameKind::kApp: {
+      // The piggybacked determinant region is carved out of the app charge;
+      // the frame itself counts once, under app_payload.
+      const std::uint64_t piggyback = fbl::AppFrame::piggyback_wire_bytes(r);
       const CostCategory pb_cat = config_.prune_piggyback
                                       ? CostCategory::kPiggybackPruned
                                       : CostCategory::kPiggybackReship;
@@ -144,22 +107,20 @@ void CostLedger::classify_frame(std::uint32_t slot,
       if (piggyback > 0) record(slot, pb_cat, piggyback, 0);
       return;
     }
-    case kFrameHeartbeat:
+    case fbl::FrameKind::kHeartbeat:
       record(slot, CostCategory::kHeartbeat, total, 1);
       return;
-    case kFrameCkptNotice:
+    case fbl::FrameKind::kCkptNotice:
       record(slot, CostCategory::kCkptNotice, total, 1);
       return;
-    case kFrameControl:
+    case fbl::FrameKind::kControl:
       classify_control(slot, r, total);
       return;
-    case kFrameSnapshot:
+    case fbl::FrameKind::kSnapshot:
       record(slot, CostCategory::kSnapshot, total, 1);
       return;
-    default:
-      record(slot, CostCategory::kOther, total, 1);
-      return;
   }
+  record(slot, CostCategory::kOther, total, 1);
 }
 
 void CostLedger::classify_control(std::uint32_t slot, BufReader& r,
@@ -171,7 +132,7 @@ void CostLedger::classify_control(std::uint32_t slot, BufReader& r,
   }
   const auto cat =
       static_cast<CostCategory>(kFirstCtrlCategory + (kind - 1));
-  if (kind != kCtrlDepRequest) {
+  if (static_cast<fbl::CtrlKind>(kind) != fbl::CtrlKind::kDepRequest) {
     record(slot, cat, total, 1);
     return;
   }
@@ -182,40 +143,17 @@ void CostLedger::classify_control(std::uint32_t slot, BufReader& r,
   // is pure fan-out cost the paper's flat O(n) gather would not pay twice.
   // The frame count stays under ctrl.dep_request either way, so the V10
   // per-kind equality with "recovery.msg.dep_request" covers relays too.
-  (void)r.u64();                       // round
-  (void)r.boolean();                   // block
-  (void)r.boolean();                   // defer
-  const std::uint32_t leader = r.u32();  // leader pid
-  (void)r.u32();                       // leader incarnation
-  (void)r.varint();                    // gather arity
+  const fbl::DepRequestHead head = fbl::decode_dep_request_head(r);
   const std::size_t before = r.remaining();
-  (void)r.varint();  // delta base_version
-  (void)r.varint();  // delta version
-  const bool full = r.boolean();
-  const auto entries = r.count(8);
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    (void)r.u32();  // process id
-    (void)r.u32();  // incarnation floor
-  }
+  const bool full = fbl::decode_inc_delta(r).full;
   const std::uint64_t inc_bytes = before - r.remaining();
   const CostCategory inc_cat =
       full ? CostCategory::kIncVectorFull : CostCategory::kIncVectorDelta;
   const CostCategory rest_cat =
-      slot != leader ? CostCategory::kGatherRelay : cat;
+      slot != head.leader.value ? CostCategory::kGatherRelay : cat;
   record(slot, cat, 0, 1);
   record(slot, inc_cat, inc_bytes, 0);
   record(slot, rest_cat, total - inc_bytes, 0);
-}
-
-void CostLedger::note_retransmit(std::uint32_t src) {
-  retransmit_hint_[std::min(src, config_.num_nodes)] = 1;
-}
-
-bool CostLedger::take_retransmit_hint(std::uint32_t src) {
-  std::uint8_t& h = retransmit_hint_[std::min(src, config_.num_nodes)];
-  const bool hinted = h != 0;
-  h = 0;
-  return hinted;
 }
 
 LedgerNodeSample& CostLedger::sample_slot(std::size_t flat) {

@@ -13,9 +13,9 @@
 //     incvector full snapshots vs deltas, gather-tree relay fan-out,
 //     recovery control per kind (mirroring analysis::MessageBreakdown),
 //     reliable-transport acks and retransmissions, heartbeats, checkpoint
-//     notices and Chandy-Lamport snapshot frames. Reliable-transport
-//     framing ([0xD7]...) is unwrapped before classification so the
-//     wrapper never smears the inner frame's category. Category totals are
+//     notices and Chandy-Lamport snapshot frames. The reliable-transport
+//     envelope is unwrapped before classification so the wrapper never
+//     smears the inner frame's category. Category totals are
 //     mirrored into metrics::Registry as "ledger.bytes.<cat>" and
 //     "ledger.frames.<cat>"; the per-(node, category) breakdown lives in
 //     dense arrays here and is exported via export_metrics_json().
@@ -34,14 +34,12 @@
 //     wire-sniffed attribution and the protocol's own intent bookkeeping
 //     are two independent derivations of the same quantity.
 //
-// Layering: obs (rank 3) may include fbl (rank 2) for the frame codecs but
-// never recovery (rank 5) or net (rank 4). Control-frame sub-structure is
-// therefore parsed here against the wire layout recovery/messages.cpp
-// defines (the agreement is pinned by tests/obs_ledger_test.cpp), and the
-// transport's magic bytes arrive via CostLedgerConfig instead of an
-// include. net and recovery sit above obs, so their attribution hooks call
-// *into* the ledger (Network::set_ledger, ReliableTransport retransmit
-// hints).
+// Layering: obs (rank 3) sits below net (4) and recovery (5), so the
+// classifier parses frames through the fbl (rank 2) codecs that define the
+// wire layout — frame and control tags, the transport envelope, held
+// determinants, the DepRequest head and incvector deltas — and net calls
+// *into* the ledger (Network::set_ledger), saying which sends are
+// retransmissions.
 #pragma once
 
 #include <array>
@@ -53,6 +51,7 @@
 
 #include "common/serde.hpp"
 #include "common/time.hpp"
+#include "fbl/frame.hpp"
 #include "metrics/registry.hpp"
 
 namespace rr::obs {
@@ -70,10 +69,10 @@ enum class CostCategory : std::uint8_t {
   kIncVectorFull,        ///< full incvector snapshots inside DepRequests
   kIncVectorDelta,       ///< versioned incvector deltas inside DepRequests
   kGatherRelay,          ///< DepRequest fan-out forwarded by a tree relay
-  kTransportAck,         ///< reliable-transport cumulative acks (0xA7)
+  kTransportAck,         ///< reliable-transport cumulative acks
   kTransportRetransmit,  ///< retransmitted reliable-transport data frames
   kOther,                ///< unparseable / unknown leading byte
-  // Control frames per kind, in recovery's CtrlKind wire order (1..14);
+  // Control frames per kind, in fbl::CtrlKind wire order (1..14);
   // the first ten mirror analysis::MessageBreakdown.
   kCtrlOrdRequest,
   kCtrlOrdReply,
@@ -93,7 +92,7 @@ enum class CostCategory : std::uint8_t {
 inline constexpr std::size_t kCostCategoryCount = 26;
 inline constexpr std::size_t kFirstCtrlCategory =
     static_cast<std::size_t>(CostCategory::kCtrlOrdRequest);
-inline constexpr std::size_t kCtrlCategoryCount = 14;
+inline constexpr std::size_t kCtrlCategoryCount = fbl::kCtrlKindCount;
 
 /// Stable metric suffix ("app_payload", "ctrl.dep_request", ...). The
 /// ctrl.<kind> suffixes match recovery::control_name().
@@ -108,11 +107,6 @@ struct CostLedgerConfig {
   /// Timeline sampling period; 0 disables the sampler (the byte ledger
   /// itself is always on).
   Duration sample_every{0};
-  /// Reliable-transport magic bytes (net::ReliableTransport::kDataByte /
-  /// kAckByte), passed by the owner because obs must not include net.
-  /// 0x100 disables transport unwrapping.
-  std::uint32_t transport_data_byte{0x100};
-  std::uint32_t transport_ack_byte{0x100};
 };
 
 /// One timeline sample of one node.
@@ -143,13 +137,6 @@ class CostLedger {
   /// identical to the first transmission, so the transport must say so).
   void on_wire(std::uint32_t src, std::span<const std::byte> payload,
                std::size_t header_bytes, bool retransmit);
-
-  /// One-shot hint set by net::ReliableTransport immediately before it
-  /// re-sends a frame; Network::send consumes it (take_retransmit_hint) on
-  /// every path, so a dropped retransmission cannot mislabel the next
-  /// packet.
-  void note_retransmit(std::uint32_t src);
-  [[nodiscard]] bool take_retransmit_hint(std::uint32_t src);
 
   // --- timeline -----------------------------------------------------------
 
@@ -196,9 +183,9 @@ class CostLedger {
 
   void record(std::uint32_t slot, CostCategory c, std::uint64_t bytes,
               std::uint64_t frames);
-  /// Classify `payload` (transport framing already unwrapped) and record
+  /// Classify `frame` (transport envelope already unwrapped) and record
   /// its categories; `total` is the full charge for the packet.
-  void classify_frame(std::uint32_t slot, std::span<const std::byte> payload,
+  void classify_frame(std::uint32_t slot, std::span<const std::byte> frame,
                       std::uint64_t total);
   void classify_control(std::uint32_t slot, BufReader& r, std::uint64_t total);
   [[nodiscard]] LedgerNodeSample& sample_slot(std::size_t flat);
@@ -212,7 +199,6 @@ class CostLedger {
   std::array<metrics::Counter*, kCostCategoryCount> frames_counter_{};
   /// (num_nodes + 1) x kCostCategoryCount, node-major.
   std::vector<std::uint64_t> per_node_;
-  std::vector<std::uint8_t> retransmit_hint_;  // per slot, one-shot
   /// Timeline: headers plus a chunked arena of node rows (sample-major:
   /// sample s, node i lives at flat index s * num_nodes + i). Chunks never
   /// move, so appending a sample never invalidates earlier rows.

@@ -1,28 +1,14 @@
 #include "recovery/messages.hpp"
 
 #include "common/assert.hpp"
-#include "fbl/frame.hpp"
 
 namespace rr::recovery {
 
 namespace {
 
-enum class CtrlKind : std::uint8_t {
-  kOrdRequest = 1,
-  kOrdReply = 2,
-  kRSetRequest = 3,
-  kRSetReply = 4,
-  kIncRequest = 5,
-  kIncReply = 6,
-  kDepRequest = 7,
-  kDepReply = 8,
-  kDepInstall = 9,
-  kRecoveryComplete = 10,
-  kReplayRequest = 11,
-  kReplayData = 12,
-  kDetPush = 13,
-  kDetAck = 14,
-};
+using fbl::CtrlKind;
+static_assert(std::variant_size_v<ControlMessage> == fbl::kCtrlKindCount,
+              "one CtrlKind per ControlMessage alternative, in variant order");
 
 void encode_rset(BufWriter& w, const std::vector<RMember>& rset) {
   w.varint(rset.size());
@@ -118,12 +104,7 @@ struct Encoder {
   }
   void operator()(const DepRequest& m) {
     tag(CtrlKind::kDepRequest);
-    w.u64(m.round);
-    w.boolean(m.block);
-    w.boolean(m.defer);
-    w.process_id(m.leader);
-    w.u32(m.leader_inc);
-    w.varint(m.arity);
+    fbl::encode_dep_request_head(w, m);
     fbl::encode_inc_delta(w, m.delta);
     w.varint(m.recovering.size());
     for (const ProcessId p : m.recovering) w.process_id(p);
@@ -227,12 +208,7 @@ ControlMessage decode_control(BufReader& r) {
     }
     case CtrlKind::kDepRequest: {
       DepRequest m;
-      m.round = r.u64();
-      m.block = r.boolean();
-      m.defer = r.boolean();
-      m.leader = r.process_id();
-      m.leader_inc = r.u32();
-      m.arity = static_cast<std::uint32_t>(r.varint());
+      static_cast<fbl::DepRequestHead&>(m) = fbl::decode_dep_request_head(r);
       m.delta = fbl::decode_inc_delta(r);
       const auto n = r.count(4);  // one pid each
       m.recovering.reserve(n);

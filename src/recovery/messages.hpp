@@ -1,8 +1,9 @@
 // Recovery control messages (paper §3.3–3.4).
 //
 // All control traffic rides frames whose leading byte is
-// fbl::FrameKind::kControl followed by a CtrlKind byte. The std::variant
-// ControlMessage is the decoded form the recovery state machines exchange.
+// fbl::FrameKind::kControl followed by an fbl::CtrlKind byte (both tags
+// live in fbl/frame.hpp). The std::variant ControlMessage is the decoded
+// form the recovery state machines exchange.
 //
 // Message roles:
 //   OrdRequest/OrdReply      acquire the system-wide monotonic ord number
@@ -31,6 +32,7 @@
 #include "common/serde.hpp"
 #include "common/types.hpp"
 #include "fbl/determinant.hpp"
+#include "fbl/frame.hpp"
 #include "fbl/inc_vector.hpp"
 #include "fbl/watermarks.hpp"
 
@@ -71,19 +73,9 @@ struct IncReply {
   Incarnation inc{0};
 };
 
-struct DepRequest {
-  std::uint64_t round{0};
-  bool block{false};  ///< blocking baseline: stall app delivery until R drains
-  /// Manetho-style comparator: hold back only application messages that
-  /// reference receipt orders of recovering processes, and write the
-  /// DepReply to stable storage before sending it (paper §2.2).
-  bool defer{false};
-  ProcessId leader;         ///< round leader (tree root; relays forward for it)
-  Incarnation leader_inc{0};  ///< scopes delta versions; a restarted leader resyncs
-  /// Gather-tree fan-out: receivers compute the tree over the sorted live
-  /// participants and forward the request to their children. 0 = flat
-  /// broadcast+collect (every participant replies straight to the leader).
-  std::uint32_t arity{0};
+/// Head fields (round, block, defer, leader, leader_inc, arity) are
+/// documented on fbl::DepRequestHead, which owns their wire layout.
+struct DepRequest : fbl::DepRequestHead {
   /// Incvector as a versioned delta against what this leader last had the
   /// receiver confirm (full snapshot on first contact or after a resync).
   /// The blocking baseline sends an empty full delta — stillness, not

@@ -27,7 +27,7 @@ void OrdService::handle(ProcessId src, const ControlMessage& m) {
     metrics_.counter("ord.registrations").add();
     RR_DEBUG("ord", "%s registered ord=%llu inc=%u", to_string(src).c_str(),
              static_cast<unsigned long long>(member.ord), member.inc);
-    phase(PhaseId::kOrdAssigned, src, member.ord);
+    phase(trace::PhaseId::kOrdAssigned, src, member.ord);
     reply(src, OrdReply{member.ord, rset()});
   } else if (std::holds_alternative<RSetRequest>(m)) {
     reply(src, RSetReply{rset()});
@@ -38,15 +38,15 @@ void OrdService::handle(ProcessId src, const ControlMessage& m) {
       registry_.erase(it);
       metrics_.counter("ord.completions").add();
       RR_DEBUG("ord", "%s completed recovery inc=%u", to_string(src).c_str(), done->inc);
-      phase(PhaseId::kOrdRetired, src, ord);
+      phase(trace::PhaseId::kOrdRetired, src, ord);
     }
   }
   // Everything else (gather traffic broadcast wide) is none of our business.
 }
 
-void OrdService::phase(PhaseId id, ProcessId subject, Ord ord) {
+void OrdService::phase(trace::PhaseId id, ProcessId subject, Ord ord) {
   if (!phase_hook_) return;
-  PhaseEventInfo info;
+  trace::PhaseEventInfo info;
   info.pid = self_;
   info.phase = id;
   info.round = 0;

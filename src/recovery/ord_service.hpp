@@ -21,7 +21,7 @@
 #include "metrics/registry.hpp"
 #include "net/network.hpp"
 #include "recovery/messages.hpp"
-#include "recovery/phase_hook.hpp"
+#include "trace/phase_hook.hpp"
 
 namespace rr::recovery {
 
@@ -38,19 +38,19 @@ class OrdService : public net::Endpoint {
 
   /// Tap fired on ordinal assignment/retirement (kOrdAssigned/kOrdRetired;
   /// `subject` = the registering/retiring process).
-  void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
+  void set_phase_hook(trace::PhaseHook hook) { phase_hook_ = std::move(hook); }
 
  private:
   void handle(ProcessId src, const ControlMessage& m);
   void reply(ProcessId to, const ControlMessage& m);
-  void phase(PhaseId id, ProcessId subject, Ord ord);
+  void phase(trace::PhaseId id, ProcessId subject, Ord ord);
 
   ProcessId self_;
   net::Network& network_;
   metrics::Registry& metrics_;
   Ord next_ord_{1};
   std::map<ProcessId, RMember> registry_;
-  PhaseHook phase_hook_;
+  trace::PhaseHook phase_hook_;
 };
 
 }  // namespace rr::recovery

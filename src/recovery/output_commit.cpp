@@ -76,6 +76,7 @@ void OutputCommitManager::stabilize() {
     if (hooks_.is_suspected(push.first)) continue;
     for (const auto& det : push.second) in_flight[{det.dest, det.rsn}].insert(push.first);
   }
+  const std::vector<ProcessId> peers = hooks_.peers();
   for (const auto& pending : queue_) {
     for (const auto& det : pending.barrier) {
       const auto* h = hooks_.det_log().find(det.dest, det.rsn);
@@ -84,7 +85,7 @@ void OutputCommitManager::stabilize() {
       int missing = static_cast<int>(f_) + 1 - fbl::holder_count(h->holders) -
                     static_cast<int>(flying.size());
       if (missing <= 0) continue;
-      for (const ProcessId peer : hooks_.peers()) {
+      for (const ProcessId peer : peers) {
         if (missing <= 0) break;
         if (peer == self_ || fbl::holds(h->holders, peer) || flying.contains(peer) ||
             hooks_.is_suspected(peer)) {

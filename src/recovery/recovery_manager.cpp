@@ -240,7 +240,7 @@ void RecoveryManager::start_round(bool failover) {
   metrics_.counter("recovery.rounds").add();
   RR_DEBUG("recov", "%s leads round %llu", to_string(self_).c_str(),
            static_cast<unsigned long long>(round_->id));
-  phase(failover ? PhaseId::kLeaderFailover : PhaseId::kLeaderElected);
+  phase(failover ? trace::PhaseId::kLeaderFailover : trace::PhaseId::kLeaderElected);
   send(ord_service_, RSetRequest{});
 }
 
@@ -255,7 +255,7 @@ void RecoveryManager::restart_round(const char* why) {
   metrics_.counter("recovery.gather_restarts").add();
   RR_INFO("recov", "%s restarts gather round %llu (%s)", to_string(self_).c_str(),
           static_cast<unsigned long long>(round_->id), why);
-  phase(PhaseId::kGatherRestarted);
+  phase(trace::PhaseId::kGatherRestarted);
   round_.reset();
   start_round();
 }
@@ -281,7 +281,7 @@ void RecoveryManager::on_rset(const std::vector<RMember>& rset) {
       return;
     }
   }
-  phase(PhaseId::kGatherStarted);
+  phase(trace::PhaseId::kGatherStarted);
   if (config_.algorithm == Algorithm::kNonBlocking) {
     begin_gather_inc();
   } else {
@@ -318,7 +318,7 @@ void RecoveryManager::begin_gather_dep() {
   RR_CHECK(round_);
   // The incarnation round (or, for the comparators, the registry snapshot)
   // is complete: the incvector this round will distribute is now fixed.
-  phase(PhaseId::kIncVectorBuilt);
+  phase(trace::PhaseId::kIncVectorBuilt);
   round_->phase = Phase::kGatherDep;
   round_->phase_started = sim_.now();
   round_->expect_dep.clear();
@@ -429,7 +429,7 @@ void RecoveryManager::reparent_leader(ProcessId child) {
   RR_INFO("recov", "%s (leader) re-parents subtree of suspected %s (round %llu)",
           to_string(self_).c_str(), to_string(child).c_str(),
           static_cast<unsigned long long>(round_->id));
-  phase_at(PhaseId::kSubtreeReparented, child, round_->id);
+  phase_at(trace::PhaseId::kSubtreeReparented, child, round_->id);
   DepRequest direct = round_->req;
   direct.arity = 0;
   for (const ProcessId m : tree_subtree(round_->participants, child, round_->req.arity)) {
@@ -440,7 +440,7 @@ void RecoveryManager::reparent_leader(ProcessId child) {
 
 void RecoveryManager::finish_round() {
   RR_CHECK(round_);
-  phase(PhaseId::kDepinfoCollected);
+  phase(trace::PhaseId::kDepinfoCollected);
   DepInstall install;
   install.round = round_->id;
   install.incvector = build_incvector();
@@ -604,7 +604,7 @@ void RecoveryManager::reparent_relay(ProcessId child) {
   RR_INFO("recov", "%s re-parents subtree of suspected %s (round %llu)",
           to_string(self_).c_str(), to_string(child).c_str(),
           static_cast<unsigned long long>(relay_->round));
-  phase_at(PhaseId::kSubtreeReparented, child, relay_->round);
+  phase_at(trace::PhaseId::kSubtreeReparented, child, relay_->round);
   // Reach the orphaned subtree directly: its members answer us as leaves
   // (arity 0 stops them from re-relaying). The suspected child itself is
   // left to the leader's restart triggers.
@@ -681,13 +681,13 @@ void RecoveryManager::send(ProcessId to, const ControlMessage& m) { hooks_.send_
 
 void RecoveryManager::broadcast(const ControlMessage& m) { hooks_.broadcast_ctrl(m); }
 
-void RecoveryManager::phase(PhaseId id) {
+void RecoveryManager::phase(trace::PhaseId id) {
   phase_at(id, self_, round_ ? round_->id : 0);
 }
 
-void RecoveryManager::phase_at(PhaseId id, ProcessId subject, std::uint64_t round_id) {
+void RecoveryManager::phase_at(trace::PhaseId id, ProcessId subject, std::uint64_t round_id) {
   if (!config_.phase_hook) return;
-  PhaseEventInfo info;
+  trace::PhaseEventInfo info;
   info.pid = self_;
   info.phase = id;
   info.round = round_id;

@@ -35,7 +35,7 @@
 #include "fbl/watermarks.hpp"
 #include "metrics/registry.hpp"
 #include "recovery/messages.hpp"
-#include "recovery/phase_hook.hpp"
+#include "trace/phase_hook.hpp"
 #include "sim/simulator.hpp"
 
 namespace rr::recovery {
@@ -73,7 +73,7 @@ struct RecoveryConfig {
   std::uint32_t gather_arity{0};
   /// Optional tap fired at named protocol phase boundaries (see
   /// phase_hook.hpp). Must not re-enter the manager synchronously.
-  PhaseHook phase_hook;
+  trace::PhaseHook phase_hook;
   /// Deliberately seeded bug for the fault-schedule explorer's
   /// self-test: suppress every gather-restart trigger (concurrent failure,
   /// suspicion, phase timeout), so a leader whose gather target dies hangs
@@ -219,8 +219,8 @@ class RecoveryManager {
   void broadcast(const ControlMessage& m);
 
   /// Fire the configured phase hook (no-op when unset).
-  void phase(PhaseId id);
-  void phase_at(PhaseId id, ProcessId subject, std::uint64_t round_id);
+  void phase(trace::PhaseId id);
+  void phase_at(trace::PhaseId id, ProcessId subject, std::uint64_t round_id);
   /// Raise incvector_[about] to `inc`, firing floor_raised on an increase.
   void raise_floor(ProcessId about, Incarnation inc);
   /// merge_max into incvector_ through raise_floor.

@@ -4,8 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "fbl/frame.hpp"
-#include "net/reliable.hpp"
 
 namespace rr::runtime {
 
@@ -28,9 +26,6 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     obs::SpanTracerConfig sc;
     sc.num_nodes = config_.num_processes;
     sc.flight_capacity = config_.flight_capacity;
-    // The fbl frame layer owns the wire format: control frames are the
-    // recovery protocol's traffic, and their first byte is the FrameKind.
-    sc.ctrl_frame_byte = static_cast<std::uint32_t>(fbl::FrameKind::kControl);
     tracer_ = std::make_unique<obs::SpanTracer>(sc, metrics_);
     network_.set_tracer(tracer_.get());
   }
@@ -39,10 +34,6 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     lc.num_nodes = config_.num_processes;
     lc.prune_piggyback = config_.prune_piggyback;
     lc.sample_every = config_.ledger_sample_every;
-    // The transport's framing magic crosses the obs layering boundary as
-    // plain config — obs must not include net (rrlint L1).
-    lc.transport_data_byte = net::ReliableTransport::kDataByte;
-    lc.transport_ack_byte = net::ReliableTransport::kAckByte;
     ledger_ = std::make_unique<obs::CostLedger>(lc, metrics_);
     network_.set_ledger(ledger_.get());
     if (config_.ledger_sample_every > 0) {
@@ -60,7 +51,7 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
   // trace and forwarded to the settable probe. The user's own phase_hook,
   // if any, is chained in front.
   auto user_hook = config_.recovery.phase_hook;
-  config_.recovery.phase_hook = [this, user_hook](const recovery::PhaseEventInfo& info) {
+  config_.recovery.phase_hook = [this, user_hook](const trace::PhaseEventInfo& info) {
     if (user_hook) user_hook(info);
     if (trace_) {
       trace_->record(sim_.now(), trace::PhaseEvent{info.pid, info.phase, info.round, info.ord,

@@ -137,11 +137,11 @@ class Cluster {
   /// (pids 0..fbl::kMaxProcesses-1; the service holds no determinants).
   static constexpr ProcessId kOrdServiceId{1025};
 
-  /// Observe protocol phase boundaries (see recovery/phase_hook.hpp) from
+  /// Observe protocol phase boundaries (see trace/phase_hook.hpp) from
   /// every node and the ord service. The probe runs in addition to trace
   /// recording; the fault-schedule explorer uses it to place crashes at
   /// exact protocol states. Settable any time, including before start().
-  void set_phase_probe(recovery::PhaseHook probe) { phase_probe_ = std::move(probe); }
+  void set_phase_probe(trace::PhaseHook probe) { phase_probe_ = std::move(probe); }
 
  private:
   ClusterConfig config_;
@@ -155,7 +155,7 @@ class Cluster {
   std::unique_ptr<sim::RepeatingTimer> ledger_timer_;
   std::vector<ProcessId> pids_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  recovery::PhaseHook phase_probe_;
+  trace::PhaseHook phase_probe_;
 };
 
 }  // namespace rr::runtime

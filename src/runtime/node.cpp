@@ -749,9 +749,9 @@ void Node::on_install(const recovery::DepInstall& install) {
     app_->on_start(*ctx_);
   }
   if (config_.recovery.phase_hook && !replay_.installed()) {
-    recovery::PhaseEventInfo info;
+    trace::PhaseEventInfo info;
     info.pid = config_.id;
-    info.phase = recovery::PhaseId::kReplayStarted;
+    info.phase = trace::PhaseId::kReplayStarted;
     info.round = install.round;
     info.ord = recovery_.ord();
     info.subject = config_.id;

@@ -14,8 +14,8 @@
 //
 // The taxonomy lives here in trace/ — the lowest layer that consumes it —
 // rather than in recovery/, so that obs/ and trace/ can see the phase ids
-// without including upward (rrlint L1); recovery/phase_hook.hpp re-exports
-// the names into rr::recovery for the layers above that fire the hooks.
+// without including upward (rrlint L1); the recovery state machines that
+// fire the hooks, and every layer above them, name them as rr::trace::*.
 #pragma once
 
 #include <cstdint>

@@ -67,7 +67,7 @@ struct CheckpointEvent {
 };
 
 /// A named protocol phase boundary fired by the recovery state machine or
-/// the ord service (see recovery/phase_hook.hpp). Input to V8.
+/// the ord service (see trace/phase_hook.hpp). Input to V8.
 struct PhaseEvent {
   ProcessId pid;  ///< firing process (ord service for assignment events)
   PhaseId phase{PhaseId::kLeaderElected};

@@ -1,11 +1,14 @@
 // Decoder robustness: every wire decoder must reject arbitrary and mutated
-// bytes with SerdeError — never crash, never read out of bounds. Seeded
-// pseudo-fuzz, deterministic per seed (TEST_P sweep).
+// bytes with SerdeError — never crash, never read out of bounds — and the
+// cost ledger's classifier must never throw at all. Seeded pseudo-fuzz,
+// deterministic per seed (TEST_P sweep).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "fbl/checkpoint.hpp"
 #include "fbl/frame.hpp"
+#include "metrics/registry.hpp"
+#include "obs/ledger.hpp"
 #include "recovery/messages.hpp"
 
 namespace rr {
@@ -40,6 +43,15 @@ void poke_all_decoders(const Bytes& bytes) {
     (void)fbl::Checkpoint::decode(bytes);
   } catch (const SerdeError&) {
   }
+  try {
+    (void)fbl::decode_envelope(bytes);
+  } catch (const SerdeError&) {
+  }
+  try {
+    (void)fbl::decode_transport_ack(bytes);
+  } catch (const SerdeError&) {
+  }
+  (void)fbl::inner_frame(bytes);
 }
 
 /// A genuinely valid encoding of every one of the 14 control-message
@@ -141,6 +153,16 @@ TEST_P(DecoderFuzz, MutatedValidFramesNeverCrashDecoders) {
   seeds.push_back(notice.encode());
   // ...plus every recovery control-message kind.
   for (Bytes& ctrl : control_seeds()) seeds.push_back(std::move(ctrl));
+  // ...plus reliable-transport envelopes around them, and an ack.
+  seeds.push_back(fbl::encode_envelope(2, 1, 300, seeds[0]));
+  seeds.push_back(fbl::encode_envelope(2, 1, 301, seeds.back()));
+  seeds.push_back(fbl::encode_transport_ack({2, 1, 300, 3}));
+
+  // The ledger classifies whatever the fabric carries: it must never throw,
+  // and every packet's bytes must land in exactly one partition.
+  metrics::Registry registry;
+  obs::CostLedger ledger(obs::CostLedgerConfig{.num_nodes = 4}, registry);
+  std::uint64_t charged = 0;
 
   for (int round = 0; round < 400; ++round) {
     Bytes bytes = seeds[rng.bounded(seeds.size())];
@@ -162,7 +184,10 @@ TEST_P(DecoderFuzz, MutatedValidFramesNeverCrashDecoders) {
       }
     }
     poke_all_decoders(bytes);
+    EXPECT_NO_THROW(ledger.on_wire(0, bytes, 32, false));
+    charged += bytes.size() + 32;
   }
+  EXPECT_EQ(ledger.total_bytes(), charged);
 }
 
 TEST_P(DecoderFuzz, BitFlippedControlMessagesNeverCrashDecoders) {
@@ -186,6 +211,106 @@ TEST(DecoderHardening, TruncatedControlMessagesAreRejectedCleanly) {
     for (std::size_t len = 0; len < full.size(); ++len) {
       poke_all_decoders(Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len)));
     }
+  }
+}
+
+// The transport envelope: every strict prefix of a header throws, every
+// longer prefix decodes with the rest as its inner frame, and varints that
+// lie (run off the end, overlong, overflowing) are rejected.
+TEST(DecoderHardening, TruncatedAndLyingEnvelopesAreRejected) {
+  const Bytes inner = fbl::HeartbeatFrame{2}.encode();
+  const Bytes wire = fbl::encode_envelope(7, 300, 70000, inner);
+  const std::size_t header = wire.size() - inner.size();
+  for (std::size_t len = 0; len < header; ++len) {
+    const std::span<const std::byte> prefix(wire.data(), len);
+    EXPECT_THROW((void)fbl::decode_envelope(prefix), SerdeError) << len;
+    EXPECT_TRUE(fbl::inner_frame(prefix).empty()) << len;
+  }
+  for (std::size_t len = header; len <= wire.size(); ++len) {
+    const fbl::Envelope e = fbl::decode_envelope(std::span(wire.data(), len));
+    EXPECT_EQ(e.epoch, 7u);
+    EXPECT_EQ(e.stream, 300u);
+    EXPECT_EQ(e.seq, 70000u);
+    EXPECT_EQ(e.inner.size(), len - header);
+  }
+  EXPECT_THROW((void)fbl::decode_envelope(inner), SerdeError);  // wrong tag
+
+  Bytes ack = fbl::encode_transport_ack({7, 300, 69999, 3});
+  for (std::size_t len = 0; len < ack.size(); ++len) {
+    EXPECT_THROW((void)fbl::decode_transport_ack(std::span(ack.data(), len)), SerdeError);
+  }
+  ack.push_back(std::byte{0});
+  EXPECT_THROW((void)fbl::decode_transport_ack(ack), SerdeError);  // trailing byte
+
+  auto liar = [](auto&& fill) {
+    BufWriter w;
+    w.u8(fbl::kTransportData);
+    w.u32(1);  // epoch
+    fill(w);
+    return std::move(w).take();
+  };
+  const std::vector<Bytes> liars = {
+      // stream varint whose continuation bits run off the end
+      liar([](BufWriter& w) {
+        for (int i = 0; i < 5; ++i) w.u8(0xFF);
+      }),
+      // overlong (11-byte) seq varint
+      liar([](BufWriter& w) {
+        w.varint(1);
+        for (int i = 0; i < 10; ++i) w.u8(0x80);
+        w.u8(0x01);
+      }),
+      // seq varint overflowing 64 bits
+      liar([](BufWriter& w) {
+        w.varint(1);
+        for (int i = 0; i < 9; ++i) w.u8(0xFF);
+        w.u8(0x7F);
+      }),
+  };
+  for (const Bytes& b : liars) {
+    EXPECT_THROW((void)fbl::decode_envelope(b), SerdeError);
+    EXPECT_TRUE(fbl::inner_frame(b).empty());
+  }
+}
+
+// A wrapped frame cut anywhere inside the bytes the ledger parses (the
+// envelope header, an app frame's piggyback region, a DepRequest up to the
+// end of its incvector delta) lands in `other`, and on_wire never throws.
+TEST(DecoderHardening, TruncatedWrappedFramesLandInOther) {
+  fbl::AppFrame app;
+  app.inc = 1;
+  app.ssn = 5;
+  app.dets = {{fbl::Determinant{ProcessId{0}, 1, ProcessId{1}, 1}, 0x3},
+              {fbl::Determinant{ProcessId{2}, 5, ProcessId{3}, 8}, 0x7}};
+  app.payload = to_bytes("payload");
+  recovery::DepRequest dep;
+  dep.leader = ProcessId{1};
+  dep.delta.entries[ProcessId{1}] = 2;
+  dep.delta.entries[ProcessId{2}] = 3;
+  dep.recovering = {ProcessId{1}, ProcessId{2}};
+
+  struct Case {
+    Bytes inner;
+    std::size_t parsed;  ///< inner bytes the classifier reads
+  };
+  const std::vector<Case> cases = {
+      // kind, inc, ssn, one-byte det count, determinants
+      {app.encode(), 1 + 4 + 8 + 1 + app.piggyback_bytes()},
+      // everything but the trailing recovering list
+      {recovery::encode_control(dep), recovery::encode_control(dep).size() - (1 + 4 * 2)},
+  };
+  for (const Case& c : cases) {
+    const Bytes wire = fbl::encode_envelope(2, 1, 9, c.inner);
+    const std::size_t cut_limit = wire.size() - c.inner.size() + c.parsed;
+    metrics::Registry registry;
+    obs::CostLedger ledger(obs::CostLedgerConfig{.num_nodes = 4}, registry);
+    for (std::size_t len = 0; len < cut_limit; ++len) {
+      EXPECT_NO_THROW(ledger.on_wire(0, std::span(wire.data(), len), 32, false)) << len;
+    }
+    EXPECT_EQ(ledger.frames(obs::CostCategory::kOther), cut_limit);
+    EXPECT_EQ(ledger.total_bytes(), ledger.bytes(obs::CostCategory::kOther));
+    ledger.on_wire(0, std::span(wire.data(), cut_limit), 32, false);
+    EXPECT_EQ(ledger.frames(obs::CostCategory::kOther), cut_limit);  // now parses
   }
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "fbl/frame.hpp"
 #include "metrics/registry.hpp"
 #include "net/network.hpp"
 #include "net/reliable.hpp"
@@ -182,13 +183,8 @@ TEST_F(ReliableTransportTest, StaleEpochTrafficIsDropped) {
   ASSERT_EQ(b_->delivered.size(), 1u);
 
   // A frame hand-built from a *lower* epoch must be discarded, not applied.
-  BufWriter w;
-  w.u8(ReliableTransport::kDataByte);
-  w.u32(0);      // epoch below the live channel's
-  w.varint(1);   // stream
-  w.varint(2);   // seq
-  w.raw(indexed(13));
-  net_->inject(kA, kB, std::move(w).take(), milliseconds(1));
+  // (epoch 0, stream 1, seq 2): the epoch is below the live channel's.
+  net_->inject(kA, kB, fbl::encode_envelope(0, 1, 2, indexed(13)), milliseconds(1));
   sim.run();
   EXPECT_EQ(b_->delivered.size(), 1u);
   EXPECT_EQ(metrics.counter_value("transport.stale_epoch"), 1u);
@@ -219,9 +215,8 @@ TEST_F(ReliableTransportTest, RawPeersBypassWrapping) {
 
 TEST_F(ReliableTransportTest, MalformedTransportFrameIsCounted) {
   make();
-  BufWriter w;
-  w.u8(ReliableTransport::kDataByte);  // header truncated after the marker
-  net_->inject(kA, kB, std::move(w).take(), milliseconds(1));
+  // Header truncated after the tag.
+  net_->inject(kA, kB, Bytes{std::byte{fbl::kTransportData}}, milliseconds(1));
   sim.run();
   EXPECT_TRUE(b_->delivered.empty());
   EXPECT_EQ(metrics.counter_value("transport.malformed"), 1u);

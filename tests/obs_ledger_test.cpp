@@ -1,10 +1,10 @@
 // Cost-ledger tests.
 //
-// The classifier in obs/ledger.cpp hand-parses wire layouts it cannot
-// include (obs sits below recovery and net in the layering) — the unit
-// tests here pin its byte-for-byte agreement with recovery::encode_control
-// and the fbl frame codecs over every control kind, the app/piggyback
-// split, reliable-transport unwrapping and the retransmit hint. The
+// The classifier in obs/ledger.cpp parses frames through the fbl wire
+// codecs — the unit tests here check that it lands frames encoded by
+// recovery::encode_control and the fbl frame codecs in the right category
+// for every control kind, the app/piggyback split, reliable-transport
+// unwrapping, and retransmissions flagged by Network::send's argument. The
 // cluster-level tests cover the V10 conservation oracle, the sampled
 // timeline's determinism across runs, and the Perfetto counter-track
 // export.
@@ -18,6 +18,7 @@
 #include "common/serde.hpp"
 #include "fbl/frame.hpp"
 #include "metrics/registry.hpp"
+#include "net/network.hpp"
 #include "obs/ledger.hpp"
 #include "obs/perfetto.hpp"
 #include "recovery/messages.hpp"
@@ -35,8 +36,6 @@ constexpr std::size_t kHeader = 32;  // mirrors net::Network::kHeaderBytes
 CostLedgerConfig unit_config() {
   CostLedgerConfig cfg;
   cfg.num_nodes = 4;
-  cfg.transport_data_byte = 0xD7;  // net::ReliableTransport::kDataByte
-  cfg.transport_ack_byte = 0xA7;   // net::ReliableTransport::kAckByte
   return cfg;
 }
 
@@ -146,38 +145,67 @@ TEST(CostLedgerClassifier, UnwrapsReliableTransportFraming) {
   metrics::Registry m;
   CostLedger ledger(unit_config(), m);
 
-  const Bytes inner = fbl::HeartbeatFrame{3}.encode();
-  BufWriter w;
-  w.u8(0xD7);       // data magic
-  w.u32(1);         // epoch
-  w.varint(9);      // stream
-  w.varint(4);      // seq
-  w.raw(inner);
-  const Bytes wire = std::move(w).take();
+  const Bytes wire = fbl::encode_envelope(1, 9, 4, fbl::HeartbeatFrame{3}.encode());
   ledger.on_wire(0, wire, kHeader, false);
   // The whole packet (wrapper included) lands under the inner frame's
   // category — the wrapper never smears the attribution.
   EXPECT_EQ(ledger.bytes(CostCategory::kHeartbeat), wire.size() + kHeader);
 
-  BufWriter ack;
-  ack.u8(0xA7);
-  ack.u32(1);
-  ledger.on_wire(0, std::move(ack).take(), kHeader, false);
+  ledger.on_wire(0, fbl::encode_transport_ack({1, 9, 4, 1}), kHeader, false);
   EXPECT_EQ(ledger.frames(CostCategory::kTransportAck), 1u);
 }
 
-TEST(CostLedgerClassifier, RetransmitHintIsOneShotAndOverridesContent) {
-  metrics::Registry m;
-  CostLedger ledger(unit_config(), m);
+// ------------------------------------------------------------ network level
 
-  ledger.note_retransmit(3);
-  EXPECT_TRUE(ledger.take_retransmit_hint(3));
-  EXPECT_FALSE(ledger.take_retransmit_hint(3));  // consumed
+struct NullEndpoint : net::Endpoint {
+  void deliver(ProcessId, Bytes payload) override {
+    BufferPool::global().release(std::move(payload));
+  }
+};
 
+/// Two endpoints on a perfect fabric with the ledger tapped into send().
+struct LedgerOnNetwork {
+  sim::Simulator sim{5};
+  metrics::Registry metrics;
+  net::Network net{sim, net::NetworkConfig{}, metrics};
+  CostLedger ledger{unit_config(), metrics};
+  NullEndpoint a;
+  NullEndpoint b;
+
+  LedgerOnNetwork() {
+    net.attach(ProcessId{0}, a);
+    net.attach(ProcessId{1}, b);
+    net.set_ledger(&ledger);
+  }
+};
+
+TEST(CostLedgerNetwork, RetransmitArgumentOverridesContent) {
+  LedgerOnNetwork w;
   const Bytes wire = fbl::HeartbeatFrame{1}.encode();
-  ledger.on_wire(3, wire, kHeader, true);
-  EXPECT_EQ(ledger.bytes(CostCategory::kTransportRetransmit), wire.size() + kHeader);
-  EXPECT_EQ(ledger.bytes(CostCategory::kHeartbeat), 0u);
+  const std::size_t charged =
+      w.net.send(ProcessId{0}, ProcessId{1}, Bytes(wire), /*retransmit=*/true);
+  EXPECT_EQ(charged, wire.size() + kHeader);
+  EXPECT_EQ(w.ledger.bytes(CostCategory::kTransportRetransmit), charged);
+  EXPECT_EQ(w.ledger.frames(CostCategory::kTransportRetransmit), 1u);
+  EXPECT_EQ(w.ledger.frames(CostCategory::kHeartbeat), 0u);
+
+  // Without the argument the same bytes are classified by content.
+  w.net.send(ProcessId{0}, ProcessId{1}, Bytes(wire));
+  EXPECT_EQ(w.ledger.frames(CostCategory::kHeartbeat), 1u);
+  EXPECT_EQ(w.ledger.frames(CostCategory::kTransportRetransmit), 1u);
+}
+
+TEST(CostLedgerNetwork, DroppedRetransmissionLeavesNextPacketClassifiedByContent) {
+  LedgerOnNetwork w;
+  w.net.set_fault_hook([](ProcessId, ProcessId, const Bytes&, std::uint64_t chan_index) {
+    return net::FaultDecision{.drop = chan_index == 0};
+  });
+  const Bytes wire = fbl::HeartbeatFrame{1}.encode();
+  EXPECT_EQ(w.net.send(ProcessId{0}, ProcessId{1}, Bytes(wire), /*retransmit=*/true), 0u);
+  w.net.send(ProcessId{0}, ProcessId{1}, Bytes(wire));
+  EXPECT_EQ(w.ledger.frames(CostCategory::kTransportRetransmit), 0u);
+  EXPECT_EQ(w.ledger.frames(CostCategory::kHeartbeat), 1u);
+  EXPECT_EQ(w.ledger.total_bytes(), w.metrics.counter_value("net.bytes"));
 }
 
 TEST(CostLedgerClassifier, MalformedFramesFallBackToOther) {

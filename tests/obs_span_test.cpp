@@ -108,6 +108,22 @@ TEST(ObsSpan, InfrastructureSpansRecorded) {
   EXPECT_GT(storage, 0u);
 }
 
+TEST(ObsSpan, ControlTransitSpansSeenThroughReliableTransport) {
+  auto sc = test::base_scenario(Algorithm::kNonBlocking);
+  sc.crashes = {{ProcessId{1}, seconds(3)}};
+  sc.cluster.transport.enabled = true;  // protocol frames travel wrapped
+  const TracedRun run = run_traced(sc);
+  ASSERT_EQ(run.result.recoveries.size(), 1u);
+
+  // Only ord-service traffic stays unwrapped; control frames between app
+  // processes travel inside the envelope and must still leave spans.
+  std::size_t transits = 0;
+  for (const SpanRecord& s : run.spans) {
+    if (s.name == SpanName::kCtrlTransit) ++transits;
+  }
+  EXPECT_GE(transits, run.result.ctrl_msgs / 2);
+}
+
 TEST(ObsSpan, GatherRestartOpensSiblingRegatherUnderSameRoot) {
   auto sc = test::base_scenario(Algorithm::kNonBlocking);
   // Second crash lands mid-gather of the first recovery (same schedule as

@@ -50,7 +50,7 @@ struct SyntheticTrace {
     log.record(++t, SuspectEvent{observer, peer, suspected});
     return *this;
   }
-  SyntheticTrace& phase(ProcessId pid, recovery::PhaseId id, recovery::Ord ord,
+  SyntheticTrace& phase(ProcessId pid, trace::PhaseId id, recovery::Ord ord,
                         ProcessId subject, std::uint64_t round = 1) {
     log.record(++t, PhaseEvent{pid, id, round, ord, subject});
     return *this;
@@ -263,7 +263,7 @@ constexpr ProcessId kSvc{9};  // the ord service's host in these traces
 
 TEST(HistoryChecker, DetectsLeaderWithoutOrdinalRegistration) {
   SyntheticTrace t;
-  t.phase(kA, recovery::PhaseId::kLeaderElected, 1, kA);
+  t.phase(kA, trace::PhaseId::kLeaderElected, 1, kA);
   const auto r = check_history(t.log);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(mentions(r, "V8")) << r.summary();
@@ -271,8 +271,8 @@ TEST(HistoryChecker, DetectsLeaderWithoutOrdinalRegistration) {
 
 TEST(HistoryChecker, DetectsLeaderAtMismatchedOrdinal) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kA, recovery::PhaseId::kLeaderElected, 5, kA);  // claims ord 5, holds 1
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kA, trace::PhaseId::kLeaderElected, 5, kA);  // claims ord 5, holds 1
   const auto r = check_history(t.log);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(mentions(r, "V8")) << r.summary();
@@ -280,9 +280,9 @@ TEST(HistoryChecker, DetectsLeaderAtMismatchedOrdinal) {
 
 TEST(HistoryChecker, DetectsLeadershipSkippingLiveLowerOrdinal) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 2, kB);
-  t.phase(kB, recovery::PhaseId::kLeaderElected, 2, kB);  // A (ord 1) is alive
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 2, kB);
+  t.phase(kB, trace::PhaseId::kLeaderElected, 2, kB);  // A (ord 1) is alive
   const auto r = check_history(t.log);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(mentions(r, "V8")) << r.summary();
@@ -292,31 +292,31 @@ TEST(HistoryChecker, FailoverOverACrashedLowerOrdinalPasses) {
   // The paper's next-ordinal failover: A registered at ord 1, then crashed
   // again; B may take over at ord 2.
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
   t.crash(kA, 1);
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 2, kB);
-  t.phase(kB, recovery::PhaseId::kLeaderFailover, 2, kB);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 2, kB);
+  t.phase(kB, trace::PhaseId::kLeaderFailover, 2, kB);
   const auto r = check_history(t.log);
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(HistoryChecker, SuspectedLowerOrdinalExcusesFailover) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 2, kB);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 2, kB);
   t.suspect(kB, kA);
-  t.phase(kB, recovery::PhaseId::kLeaderFailover, 2, kB);
+  t.phase(kB, trace::PhaseId::kLeaderFailover, 2, kB);
   const auto r = check_history(t.log);
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(HistoryChecker, RetractedSuspicionRevokesTheFailoverExcuse) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 2, kB);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 2, kB);
   t.suspect(kB, kA);
   t.suspect(kB, kA, /*suspected=*/false);  // detector changed its mind
-  t.phase(kB, recovery::PhaseId::kLeaderFailover, 2, kB);
+  t.phase(kB, trace::PhaseId::kLeaderFailover, 2, kB);
   const auto r = check_history(t.log);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(mentions(r, "V8")) << r.summary();
@@ -324,20 +324,20 @@ TEST(HistoryChecker, RetractedSuspicionRevokesTheFailoverExcuse) {
 
 TEST(HistoryChecker, RetiredOrdinalNoLongerConstrainsLeadership) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kA, recovery::PhaseId::kLeaderElected, 1, kA);  // legitimate reign
-  t.phase(kSvc, recovery::PhaseId::kOrdRetired, 1, kA);   // RecoveryComplete
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 2, kB);
-  t.phase(kB, recovery::PhaseId::kLeaderElected, 2, kB);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kA, trace::PhaseId::kLeaderElected, 1, kA);  // legitimate reign
+  t.phase(kSvc, trace::PhaseId::kOrdRetired, 1, kA);   // RecoveryComplete
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 2, kB);
+  t.phase(kB, trace::PhaseId::kLeaderElected, 2, kB);
   const auto r = check_history(t.log);
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(HistoryChecker, DetectsLeadershipOnARetiredRegistration) {
   SyntheticTrace t;
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
-  t.phase(kSvc, recovery::PhaseId::kOrdRetired, 1, kA);
-  t.phase(kA, recovery::PhaseId::kLeaderElected, 1, kA);  // reign after release
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdRetired, 1, kA);
+  t.phase(kA, trace::PhaseId::kLeaderElected, 1, kA);  // reign after release
   const auto r = check_history(t.log);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(mentions(r, "V8")) << r.summary();
@@ -347,7 +347,7 @@ TEST(TraceLogTest, DumpRendersEveryKind) {
   SyntheticTrace t;
   t.send(kA, kB, 1).deliver(kB, kA, 1, 1).crash(kA, 1).restore(kA, 2, 0).ckpt(kB, 1);
   t.log.record(99, CompleteEvent{kA, 2, 5});
-  t.phase(kSvc, recovery::PhaseId::kOrdAssigned, 1, kA);
+  t.phase(kSvc, trace::PhaseId::kOrdAssigned, 1, kA);
   t.suspect(kB, kA);
   t.floor(kB, kA, 2);
   const std::string dump = t.log.dump();

@@ -16,7 +16,7 @@ namespace {
 using check::FaultSchedule;
 using check::Injection;
 using check::ScheduleExplorer;
-using recovery::PhaseId;
+using trace::PhaseId;
 
 Injection crash(std::uint32_t pid, Time at) {
   Injection inj;

@@ -182,7 +182,7 @@ int run_replay(const Options& opt) {
   std::printf("  phases:");
   for (std::size_t i = 0; i < outcome.phase_count.size(); ++i) {
     if (outcome.phase_count[i] == 0) continue;
-    std::printf(" %s=%u", recovery::to_string(static_cast<recovery::PhaseId>(i)),
+    std::printf(" %s=%u", trace::to_string(static_cast<trace::PhaseId>(i)),
                 outcome.phase_count[i]);
   }
   std::printf("\n");

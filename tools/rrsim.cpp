@@ -9,6 +9,7 @@
 //   rrsim --algorithm blocking --workload bank --horizon 30 --metrics
 //   rrsim --workload chain --nodes 4 --crash 0@0.025 --crash 1@0.029 --check
 //   rrsim --paper-testbed --crash 1@6.5 --verbose
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 
 #include "app/workloads.hpp"
 #include "common/log.hpp"
+#include "fbl/determinant.hpp"
 #include "harness/experiments.hpp"
 #include "harness/table.hpp"
 #include "obs/perfetto.hpp"
@@ -49,7 +51,7 @@ struct Options {
 [[noreturn]] void usage(int code) {
   std::printf(
       "rrsim — FBL rollback-recovery simulator\n\n"
-      "  --nodes N            processes (default 8, max 63)\n"
+      "  --nodes N            processes, 2..1024 (default 8)\n"
       "  --f F                failures to tolerate, 1..N; N selects the\n"
       "                       Manetho-style stable-logging instance (default 2)\n"
       "  --algorithm A        nonblocking | blocking | defer (default nonblocking)\n"
@@ -110,8 +112,13 @@ Options parse(int argc, char** argv) {
         std::fprintf(stderr, "--crash expects PID@SECONDS, got '%s'\n", v.c_str());
         usage(2);
       }
-      opt.crashes.emplace_back(static_cast<std::uint32_t>(std::stoul(v.substr(0, at))),
-                               std::stod(v.substr(at + 1)));
+      try {
+        opt.crashes.emplace_back(static_cast<std::uint32_t>(std::stoul(v.substr(0, at))),
+                                 std::stod(v.substr(at + 1)));
+      } catch (const std::exception&) {
+        std::fprintf(stderr, "--crash expects PID@SECONDS, got '%s'\n", v.c_str());
+        usage(2);
+      }
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(need_value(i), nullptr, 10);
     } else if (arg == "--horizon") {
@@ -139,6 +146,29 @@ Options parse(int argc, char** argv) {
     }
   }
   return opt;
+}
+
+[[noreturn]] void reject(const std::string& why) {
+  std::fprintf(stderr, "rrsim: %s\n", why.c_str());
+  std::exit(2);
+}
+
+/// Rejects the cluster shapes and crash targets runtime::Cluster would
+/// abort on, before one is built.
+void validate(const Options& opt) {
+  if (opt.nodes < 2 || opt.nodes > fbl::kMaxProcesses) {
+    reject("--nodes must be in 2.." + std::to_string(fbl::kMaxProcesses) + ", got " +
+           std::to_string(opt.nodes));
+  }
+  if (opt.f < 1 || opt.f > opt.nodes) {
+    reject("--f must be in 1..N (N = --nodes), got " + std::to_string(opt.f));
+  }
+  for (const auto& [pid, secs] : opt.crashes) {
+    if (pid >= opt.nodes) reject("--crash PID must be below --nodes, got " + std::to_string(pid));
+    if (!std::isfinite(secs) || secs < 0) {
+      reject("--crash time must be a non-negative number of seconds");
+    }
+  }
 }
 
 app::AppFactory make_workload(const Options& opt) {
@@ -175,6 +205,7 @@ app::AppFactory make_workload(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
+  validate(opt);
   if (opt.verbose) logging::set_level(LogLevel::kDebug);
 
   runtime::ClusterConfig config =
