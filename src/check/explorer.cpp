@@ -363,7 +363,7 @@ RunOutcome ScheduleExplorer::run(const FaultSchedule& schedule, RunCapture* capt
       outcome.ledger_frames[i] = ledger->frames(static_cast<obs::CostCategory>(i));
     }
   }
-  outcome.flight_dump = cluster.spans()->dump_all_flights();
+  if (!outcome.ok()) outcome.flight_dump = cluster.spans()->dump_all_flights();
   if (capture != nullptr && capture->want_trace_json) {
     capture->trace_json = obs::export_trace_event_json(*cluster.spans(), cluster.ledger());
   }

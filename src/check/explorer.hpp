@@ -65,8 +65,8 @@ struct RunOutcome {
   std::array<std::uint64_t, obs::kCostCategoryCount> ledger_bytes{};
   std::array<std::uint64_t, obs::kCostCategoryCount> ledger_frames{};
   /// Flight-recorder excerpt (last spans per involved node, still-open
-  /// spans flagged), captured before the cluster is torn down. A wedged
-  /// recovery shows up as spans that never closed.
+  /// spans flagged), captured before the cluster is torn down; empty when
+  /// the run passed. A wedged recovery shows up as spans that never closed.
   std::string flight_dump;
 
   [[nodiscard]] bool ok() const { return terminated && check.ok; }

@@ -12,12 +12,13 @@
 //  * garbage collection: determinants whose destination has checkpointed
 //    past their rsn can never be replayed and are dropped.
 //
-// The send path runs per message, so the log maintains incremental
-// indices: `active_` (piggyback candidates — below the propagation
-// threshold and not stable), `unstable_` (not yet flushed to stable
-// storage, used by the f = n instance) and per-destination pending work;
-// no update visits every destination. Gather-time queries (slice_for,
-// max_ssn) may scan; they run once per recovery, not per message.
+// One ordered map holds the facts; one ordered index, `active_`, holds the
+// keys of the piggyback candidates (below the propagation threshold and not
+// stable). A send filters the active set by the destination's holder bit,
+// so no per-destination state exists to keep in step. The active set stays
+// small: a determinant leaves it once f+1 processes hold it. Scans of the
+// whole log (unstable, slice_for, forget_holder) run once per flush,
+// recovery or recovered peer, not per message.
 //
 // The holder mask a process keeps is its *local knowledge* — possibly
 // behind reality, never ahead of it on the conservative side that matters:
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/serde.hpp"
@@ -48,20 +50,27 @@ class DeterminantLog {
   /// (source, ssn) for one (dest, rsn) violate the protocol and abort.
   bool record(const HeldDeterminant& h);
 
+  /// Record determinants received from a peer (piggyback, push, install),
+  /// adding `self` to each holder mask. Returns the number new to this log.
+  std::size_t absorb(std::span<const HeldDeterminant> dets, ProcessId self);
+
   /// Merge additional holder knowledge for an existing determinant; no-op
   /// if the determinant is unknown.
   void add_holders(const Determinant& d, HolderMask extra);
 
-  /// Retract holder knowledge (a peer's volatile log died with it).
-  void remove_holder(const Determinant& d, ProcessId peer);
+  /// Retract `peer` from every holder mask (its volatile log died with it),
+  /// except on its own receipts up to `kept_rsn`, which its recovery
+  /// re-established. A retracted determinant may re-enter the active set.
+  void forget_holder(ProcessId peer, Rsn kept_rsn);
 
   /// Determinants to piggyback on a message to `to`: the active set minus
   /// those already known to be held by `to`. Ordered by (dest, rsn).
   [[nodiscard]] std::vector<HeldDeterminant> piggyback_for(ProcessId to) const;
 
   /// The whole active set, ignoring per-destination knowledge — the
-  /// un-pruned baseline the scale bench contrasts against. Ordered by
-  /// (dest, rsn).
+  /// un-pruned baseline the scale bench contrasts against, and the
+  /// output-commit barrier (exactly the determinants below f+1 holders and
+  /// off stable storage). Ordered by (dest, rsn).
   [[nodiscard]] std::vector<HeldDeterminant> piggyback_all() const;
 
   /// All determinants destined to any process in `dests` — the depinfo
@@ -82,7 +91,7 @@ class DeterminantLog {
 
   /// Determinants not yet known stable, for the f = n instance's
   /// asynchronous flush; the caller marks them via
-  /// add_holders(kStableHolder) on write completion.
+  /// add_holders(kStableHolder) on write completion. Scans the log.
   [[nodiscard]] std::vector<Determinant> unstable() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return by_dest_rsn_.size(); }
@@ -101,30 +110,12 @@ class DeterminantLog {
   [[nodiscard]] bool is_active(const HeldDeterminant& h) const {
     return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < threshold_;
   }
-  struct Entry {
-    HeldDeterminant held;
-    /// Key in active_by_seq_; 0 while inactive, new on each (re)activation.
-    std::uint64_t active_seq{0};
-  };
-
-  /// One destination's pending piggyback work: the active entries it is not
-  /// known to hold among those activated before `cursor`, plus stale keys
-  /// piggyback_for drops. A steady-state send costs O(new activations).
-  struct Pending {
-    std::uint64_t cursor{0};
-    std::set<Key> keys;
-  };
-
-  void index(const Key& key, Entry& e, bool lost_holder);
-  void unindex(const Key& key, const Entry& e);
+  /// Bring `key`'s membership of the active set in line with `h`.
+  void reindex(const Key& key, const HeldDeterminant& h);
 
   int threshold_{64};  // effectively "keep propagating" until configured
-  std::map<Key, Entry> by_dest_rsn_;
-  std::set<Key> active_;    // piggyback candidates
-  std::map<std::uint64_t, Key> active_by_seq_;  // the same, in activation order
-  std::uint64_t next_seq_{1};
-  std::set<Key> unstable_;  // not on stable storage
-  mutable std::map<ProcessId, Pending> pending_by_dest_;
+  std::map<Key, HeldDeterminant> by_dest_rsn_;
+  std::set<Key> active_;  // piggyback candidates, in (dest, rsn) order
 };
 
 }  // namespace rr::fbl

@@ -21,13 +21,27 @@ LoggingEngine::SendResult LoggingEngine::make_frame(ProcessId to, Bytes payload,
   AppFrame frame;
   frame.inc = inc;
   frame.ssn = ++send_seq_[to];
-  frame.dets = config_.prune_piggyback ? det_log_.piggyback_for(to) : det_log_.piggyback_all();
   frame.payload = payload;
 
   // Sender-based logging: the payload lives in our volatile store until the
   // receiver checkpoints past it.
   send_log_.record(to, frame.ssn, std::move(payload));
+  return attach_and_encode(to, frame);
+}
 
+std::optional<LoggingEngine::SendResult> LoggingEngine::retransmit_frame(ProcessId to, Ssn ssn,
+                                                                         Incarnation inc) {
+  const Bytes* payload = send_log_.find(to, ssn);
+  if (payload == nullptr) return std::nullopt;
+  AppFrame frame;
+  frame.inc = inc;
+  frame.ssn = ssn;
+  frame.payload = *payload;
+  return attach_and_encode(to, frame);
+}
+
+LoggingEngine::SendResult LoggingEngine::attach_and_encode(ProcessId to, AppFrame& frame) {
+  frame.dets = config_.prune_piggyback ? det_log_.piggyback_for(to) : det_log_.piggyback_all();
   SendResult out;
 
   // Perfect FIFO fabric: once handed over, `to` will log the piggybacked
@@ -54,31 +68,6 @@ LoggingEngine::SendResult LoggingEngine::make_frame(ProcessId to, Bytes payload,
   return out;
 }
 
-std::optional<LoggingEngine::SendResult> LoggingEngine::retransmit_frame(ProcessId to, Ssn ssn,
-                                                                         Incarnation inc) {
-  const Bytes* payload = send_log_.find(to, ssn);
-  if (payload == nullptr) return std::nullopt;
-  AppFrame frame;
-  frame.inc = inc;
-  frame.ssn = ssn;
-  frame.dets = config_.prune_piggyback ? det_log_.piggyback_for(to) : det_log_.piggyback_all();
-  frame.payload = *payload;
-  SendResult out;
-  for (auto& h : frame.dets) {
-    if (config_.defer_holder_mark) {
-      out.attached.push_back(h.det);
-    } else {
-      det_log_.add_holders(h.det, holder_bit(to));
-    }
-    h.holders |= holder_bit(to);
-  }
-  out.ssn = ssn;
-  out.piggyback_count = frame.dets.size();
-  out.piggyback_bytes = frame.piggyback_bytes();
-  out.frame = frame.encode();
-  return out;
-}
-
 void LoggingEngine::confirm_piggyback(ProcessId to, const std::vector<Determinant>& dets) {
   for (const Determinant& d : dets) det_log_.add_holders(d, holder_bit(to));
 }
@@ -92,15 +81,7 @@ LoggingEngine::AcceptResult LoggingEngine::accept(ProcessId from, const AppFrame
   }
 
   // Absorb piggybacked knowledge (valid even on duplicate payloads).
-  for (const auto& h : frame.dets) {
-    HeldDeterminant mine = h;
-    mine.holders |= holder_bit(config_.self);
-    if (det_log_.record(mine)) {
-      ++out.dets_learned;
-    } else {
-      det_log_.add_holders(mine.det, mine.holders);
-    }
-  }
+  out.dets_learned = det_log_.absorb(frame.dets, config_.self);
 
   const Ssn mark = watermark_of(recv_marks_, from);
   if (frame.ssn <= mark) {
@@ -133,8 +114,7 @@ void LoggingEngine::deliver_replayed(const Determinant& det, HolderMask extra_ho
                "replayed channel must stay gap-free");
   rsn_ = det.rsn;
   raise_watermark(recv_marks_, det.source, det.ssn);
-  HeldDeterminant mine{det, extra_holders | holder_bit(config_.self)};
-  if (!det_log_.record(mine)) det_log_.add_holders(det, mine.holders);
+  det_log_.record(HeldDeterminant{det, extra_holders | holder_bit(config_.self)});
 }
 
 Checkpoint LoggingEngine::make_checkpoint(Bytes app_state) const {
@@ -166,17 +146,6 @@ LoggingEngine::GcResult LoggingEngine::on_ckpt_notice(ProcessId peer,
   out.send_entries = send_log_.prune(peer, watermark_of(notice.recv_marks, config_.self));
   out.determinants = det_log_.prune_dest(peer, notice.rsn);
   return out;
-}
-
-void LoggingEngine::forget_holder(ProcessId peer, Rsn peer_rsn) {
-  // Handled via DeterminantLog internals: rebuild holder bits. A recovered
-  // peer kept (re-learned) its own receipts up to peer_rsn; every other
-  // holder claim about it refers to volatile state the crash destroyed.
-  for (const auto& h : det_log_.slice_for(~HolderMask{0})) {
-    if (!holds(h.holders, peer)) continue;
-    if (h.det.dest == peer && h.det.rsn <= peer_rsn) continue;
-    det_log_.remove_holder(h.det, peer);
-  }
 }
 
 }  // namespace rr::fbl

@@ -131,11 +131,6 @@ class LoggingEngine {
   };
   GcResult on_ckpt_notice(ProcessId peer, const CkptNoticeFrame& notice);
 
-  /// Drop `peer` from holder masks after it recovered (its volatile log
-  /// was lost); keeps its own receipts up to `peer_rsn`, which the
-  /// recovery re-established at the peer.
-  void forget_holder(ProcessId peer, Rsn peer_rsn);
-
   // --- accessors -------------------------------------------------------
 
   [[nodiscard]] ProcessId self() const noexcept { return config_.self; }
@@ -151,6 +146,10 @@ class LoggingEngine {
   [[nodiscard]] DeterminantLog& det_log() noexcept { return det_log_; }
 
  private:
+  /// Attach the piggyback for `to`, mark (or defer marking) `to` as a
+  /// holder of each attached determinant, and encode the frame.
+  [[nodiscard]] SendResult attach_and_encode(ProcessId to, AppFrame& frame);
+
   EngineConfig config_;
   Rsn rsn_{0};
   Watermarks send_seq_;  // per destination, last ssn used

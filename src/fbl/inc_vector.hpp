@@ -49,7 +49,7 @@ inline void encode_inc_vector(BufWriter& w, const IncVector& v) {
 
 [[nodiscard]] inline IncVector decode_inc_vector(BufReader& r) {
   IncVector v;
-  const auto n = r.varint();
+  const auto n = r.count(4 + 4);  // pid + incarnation
   for (std::uint64_t i = 0; i < n; ++i) {
     const ProcessId p = r.process_id();
     v[p] = r.u32();

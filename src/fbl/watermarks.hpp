@@ -26,7 +26,7 @@ inline void encode_watermarks(BufWriter& w, const Watermarks& marks) {
 
 [[nodiscard]] inline Watermarks decode_watermarks(BufReader& r) {
   Watermarks marks;
-  const auto n = r.varint();
+  const auto n = r.count(4 + 8);  // pid + ssn
   for (std::uint64_t i = 0; i < n; ++i) {
     const ProcessId source = r.process_id();
     marks[source] = r.u64();

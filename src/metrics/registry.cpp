@@ -7,9 +7,16 @@ namespace rr::metrics {
 namespace {
 
 template <typename Map>
-const typename Map::mapped_type* find_in(const Map& map, const std::string& name) {
+const typename Map::mapped_type* find_in(const Map& map, std::string_view name) {
   const auto it = map.find(name);
   return it == map.end() ? nullptr : &it->second;
+}
+
+template <typename Map>
+typename Map::mapped_type& cell_in(Map& map, std::string_view name) {
+  const auto it = map.lower_bound(name);
+  if (it != map.end() && it->first == name) return it->second;
+  return map.try_emplace(it, std::string(name))->second;
 }
 
 template <typename Map>
@@ -22,26 +29,26 @@ std::vector<std::string> names_of(const Map& map) {
 
 }  // namespace
 
-Counter& Registry::counter(const std::string& name) { return counters_[name]; }
+Counter& Registry::counter(std::string_view name) { return cell_in(counters_, name); }
 
-Accumulator& Registry::accum(const std::string& name) { return accums_[name]; }
+Accumulator& Registry::accum(std::string_view name) { return cell_in(accums_, name); }
 
-Histogram& Registry::histogram(const std::string& name) { return histograms_[name]; }
+Histogram& Registry::histogram(std::string_view name) { return cell_in(histograms_, name); }
 
-std::uint64_t Registry::counter_value(const std::string& name) const {
+std::uint64_t Registry::counter_value(std::string_view name) const {
   const Counter* c = find_counter(name);
   return c == nullptr ? 0 : c->value();
 }
 
-const Counter* Registry::find_counter(const std::string& name) const {
+const Counter* Registry::find_counter(std::string_view name) const {
   return find_in(counters_, name);
 }
 
-const Accumulator* Registry::find_accum(const std::string& name) const {
+const Accumulator* Registry::find_accum(std::string_view name) const {
   return find_in(accums_, name);
 }
 
-const Histogram* Registry::find_histogram(const std::string& name) const {
+const Histogram* Registry::find_histogram(std::string_view name) const {
   return find_in(histograms_, name);
 }
 

@@ -227,7 +227,7 @@ ControlMessage decode_control(BufReader& r) {
       m.round = r.u64();
       m.incvector = fbl::decode_inc_vector(r);
       m.dets = decode_dets(r);
-      const auto n = r.varint();
+      const auto n = r.count(4 + 1);  // pid + watermark count
       for (std::uint64_t i = 0; i < n; ++i) {
         const ProcessId pid = r.process_id();
         m.live_marks[pid] = fbl::decode_watermarks(r);

@@ -46,10 +46,8 @@ std::uint64_t OutputCommitManager::commit(Bytes payload) {
   p.committed_at = sim_.now();
   // Barrier: everything currently un-recoverable in our causal past. The
   // active set is exactly the determinants below f+1 holders and off
-  // stable storage.
-  for (const auto& h : hooks_.det_log().slice_for(~fbl::HolderMask{0})) {
-    if (!satisfied(h.det)) p.barrier.push_back(h.det);
-  }
+  // stable storage — the complement of satisfied().
+  for (const auto& h : hooks_.det_log().piggyback_all()) p.barrier.push_back(h.det);
   metrics_.counter("output.committed").add();
   queue_.push_back(std::move(p));
   stabilize();

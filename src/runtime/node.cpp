@@ -455,12 +455,7 @@ void Node::handle_wire(ProcessId src, std::span<const std::byte> payload) {
         } else if (const auto* push = std::get_if<recovery::DetPush>(&m)) {
           // Output-commit stabilization: log the determinants durably-in-
           // volatile terms (we are now one of the f+1 holders) and confirm.
-          for (const auto& h : push->dets) {
-            fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-            if (!engine_.det_log().record(mine)) {
-              engine_.det_log().add_holders(mine.det, mine.holders);
-            }
-          }
+          engine_.det_log().absorb(push->dets, config_.id);
           metrics_.counter("output.det_pushes_served").add();
           send_control(src, recovery::DetAck{push->seq});
         } else if (const auto* ack = std::get_if<recovery::DetAck>(&m)) {
@@ -501,10 +496,7 @@ void Node::handle_app_frame(ProcessId src, fbl::AppFrame frame) {
   if (recovering_) {
     // Piggybacked knowledge is valid regardless of what happens to the
     // payload; absorb it so later gathers (and our own piggybacks) see it.
-    for (const auto& h : frame.dets) {
-      fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-      if (!engine_.det_log().record(mine)) engine_.det_log().add_holders(mine.det, mine.holders);
-    }
+    engine_.det_log().absorb(frame.dets, config_.id);
     if (replay_.installed() && replay_.needs(src, frame.ssn)) {
       metrics_.counter("replay.payloads_from_wire").add();
       replay_.offer(src, frame.ssn, std::move(frame.payload));
@@ -737,10 +729,7 @@ void Node::on_install(const recovery::DepInstall& install) {
   for (const auto& [pid, marks] : install.live_marks) {
     fbl::raise_watermark(suppress_marks_, pid, fbl::watermark_of(marks, config_.id));
   }
-  for (const auto& h : install.dets) {
-    fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-    if (!engine_.det_log().record(mine)) engine_.det_log().add_holders(mine.det, mine.holders);
-  }
+  engine_.det_log().absorb(install.dets, config_.id);
   if (current_recovery_ && current_recovery_->installed_at == 0) {
     current_recovery_->installed_at = sim_.now();
   }
@@ -774,7 +763,7 @@ void Node::on_install(const recovery::DepInstall& install) {
 }
 
 void Node::on_peer_recovered(ProcessId peer, const recovery::RecoveryComplete& m) {
-  engine_.forget_holder(peer, m.rsn);
+  engine_.det_log().forget_holder(peer, m.rsn);
   if (recovering_ && replay_.installed()) replay_.on_source_recovered(peer);
   if (!alive_ || !started_) return;
   // Retransmit everything the recovered peer never delivered from us.

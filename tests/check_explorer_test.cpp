@@ -228,12 +228,17 @@ TEST(ScheduleExplorerTest, SeededBugIsCaughtShrunkAndReplayable) {
   const check::RunOutcome again = ScheduleExplorer::run(replayed);
   EXPECT_EQ(again.ok(), r.shrunk_outcome.ok());
   EXPECT_EQ(again.state_hash, r.shrunk_outcome.state_hash);
+  // A failure ships its flight-recorder dump, and the dump replays too.
+  EXPECT_FALSE(r.shrunk_outcome.flight_dump.empty());
+  EXPECT_EQ(again.flight_dump, r.shrunk_outcome.flight_dump);
 
   // The same minimal schedule with the bug disarmed passes: the failure is
-  // the bug's, not the schedule's.
+  // the bug's, not the schedule's. A passing run builds no dump.
   FaultSchedule healthy = r.shrunk;
   healthy.seeded_bug = false;
-  EXPECT_TRUE(ScheduleExplorer::run(healthy).ok());
+  const check::RunOutcome passed = ScheduleExplorer::run(healthy);
+  EXPECT_TRUE(passed.ok());
+  EXPECT_TRUE(passed.flight_dump.empty());
 }
 
 TEST(ScheduleExplorerTest, MatrixCoversAtLeastTenThousandSchedules) {

@@ -233,7 +233,7 @@ TEST_F(EngineFixture, ForgetHolderDropsCrashedPeersKnowledge) {
   ASSERT_TRUE(holds(before->holders, ProcessId{1}));
 
   // q crashed and recovered only up to rsn 0: its copy is gone.
-  p.forget_holder(ProcessId{1}, 0);
+  p.det_log().forget_holder(ProcessId{1}, 0);
   const auto* after = p.det_log().find(ProcessId{1}, 1);
   ASSERT_NE(after, nullptr);
   EXPECT_FALSE(holds(after->holders, ProcessId{1}));
@@ -244,7 +244,7 @@ TEST_F(EngineFixture, ForgetHolderKeepsReestablishedReceipts) {
   auto out = q.make_frame(ProcessId{0}, Bytes{}, 1);
   (void)p.accept(ProcessId{1}, decode_frame(out.frame), incs);
   // q recovered past rsn 1: it re-learned its own receipt.
-  p.forget_holder(ProcessId{1}, 1);
+  p.det_log().forget_holder(ProcessId{1}, 1);
   const auto* h = p.det_log().find(ProcessId{1}, 1);
   ASSERT_NE(h, nullptr);
   EXPECT_TRUE(holds(h->holders, ProcessId{1}));

@@ -2,6 +2,10 @@
 // GC, indices) and the sender-based send log.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fbl/determinant.hpp"
 #include "fbl/determinant_log.hpp"
 #include "fbl/send_log.hpp"
@@ -99,8 +103,9 @@ TEST_F(DetLogFixture, RemoveHolderReactivatesPropagation) {
       {det(1, 1, 2, 1),
        holder_bit(ProcessId{2}) | holder_bit(ProcessId{3}) | holder_bit(ProcessId{4})});
   EXPECT_EQ(log.piggyback_for(ProcessId{5}).size(), 0u);
-  log.remove_holder(det(1, 1, 2, 1), ProcessId{3});
+  log.forget_holder(ProcessId{3}, 0);
   EXPECT_EQ(log.piggyback_for(ProcessId{5}).size(), 1u);
+  EXPECT_FALSE(holds(log.find(ProcessId{2}, 1)->holders, ProcessId{3}));
 }
 
 TEST_F(DetLogFixture, PendingIndexDrainsOnHolderMark) {
@@ -175,6 +180,156 @@ TEST_F(DetLogFixture, EncodeDecodePreservesEverything) {
   ASSERT_NE(h, nullptr);
   EXPECT_TRUE((h->holders & kStableHolder) != 0);
   EXPECT_EQ(copy.piggyback_for(ProcessId{9}).size(), 1u);  // stable one excluded
+}
+
+// Reference model: the log's every query against a plain map of
+// (dest, rsn) -> held determinant and a threshold, over seeded random
+// sequences of every mutation.
+class DetLogModel {
+ public:
+  static constexpr std::uint32_t kProcs = 6;
+
+  explicit DetLogModel(std::uint64_t seed) : rng_(seed) {}
+
+  void step() {
+    switch (rng_.bounded(7)) {
+      case 0:
+      case 1: {
+        const HeldDeterminant h = random_held();
+        EXPECT_EQ(log_.record(h), !model_.contains(key_of(h.det)));
+        merge(h);
+        break;
+      }
+      case 2: {
+        std::vector<HeldDeterminant> wire(rng_.bounded(4));
+        for (auto& h : wire) h = random_held();
+        const ProcessId self{static_cast<std::uint32_t>(rng_.bounded(kProcs))};
+        std::size_t fresh = 0;
+        for (const auto& h : wire) {
+          if (!model_.contains(key_of(h.det))) ++fresh;
+          merge({h.det, h.holders | holder_bit(self)});
+        }
+        EXPECT_EQ(log_.absorb(wire, self), fresh);
+        break;
+      }
+      case 3: {
+        const HeldDeterminant h = random_held();
+        log_.add_holders(h.det, h.holders);
+        if (model_.contains(key_of(h.det))) merge(h);
+        break;
+      }
+      case 4: {
+        const ProcessId peer{static_cast<std::uint32_t>(rng_.bounded(kProcs))};
+        const Rsn kept = rng_.bounded(kRsns + 1);
+        log_.forget_holder(peer, kept);
+        for (auto& [key, h] : model_) {
+          if (h.det.dest == peer && h.det.rsn <= kept) continue;
+          h.holders &= ~holder_bit(peer);
+        }
+        break;
+      }
+      case 5: {
+        const ProcessId dest{static_cast<std::uint32_t>(rng_.bounded(kProcs))};
+        const Rsn upto = rng_.bounded(kRsns + 1);
+        const std::size_t n = std::erase_if(model_, [&](const auto& kv) {
+          return kv.first.first == dest && kv.first.second <= upto;
+        });
+        EXPECT_EQ(log_.prune_dest(dest, upto), n);
+        break;
+      }
+      default:
+        threshold_ = static_cast<int>(rng_.bounded(4)) + 1;
+        log_.set_propagation_threshold(threshold_);
+        break;
+    }
+  }
+
+  void check() const {
+    std::vector<HeldDeterminant> all;
+    std::vector<HeldDeterminant> active;
+    std::vector<Determinant> unstable;
+    for (const auto& [key, h] : model_) {
+      all.push_back(h);
+      if (is_active(h)) active.push_back(h);
+      if ((h.holders & kStableHolder) == 0) unstable.push_back(h.det);
+    }
+    EXPECT_EQ(log_.size(), all.size());
+    EXPECT_EQ(log_.active_size(), active.size());
+    EXPECT_EQ(log_.piggyback_all(), active);
+    EXPECT_EQ(log_.unstable(), unstable);
+    EXPECT_EQ(log_.slice_for(~HolderMask{0}), all);
+    for (std::uint32_t p = 0; p < kProcs; ++p) {
+      const ProcessId pid{p};
+      std::vector<HeldDeterminant> to_p;
+      std::vector<HeldDeterminant> slice;
+      std::vector<Determinant> schedule;
+      for (const auto& h : active) {
+        if (!holds(h.holders, pid)) to_p.push_back(h);
+      }
+      for (const auto& h : all) {
+        if (h.det.dest != pid) continue;
+        slice.push_back(h);
+        if (h.det.rsn > kRsns / 2) schedule.push_back(h.det);
+      }
+      EXPECT_EQ(log_.piggyback_for(pid), to_p) << "to p" << p;
+      EXPECT_EQ(log_.slice_for(holder_bit(pid)), slice) << "dest p" << p;
+      EXPECT_EQ(log_.replay_schedule(pid, kRsns / 2), schedule) << "owner p" << p;
+    }
+    BufWriter w;
+    log_.encode(w);
+    BufReader r(w.view());
+    DeterminantLog copy = DeterminantLog::decode(r);
+    copy.set_propagation_threshold(threshold_);
+    EXPECT_EQ(copy.slice_for(~HolderMask{0}), all);
+    EXPECT_EQ(copy.piggyback_all(), active);
+  }
+
+ private:
+  using Key = std::pair<ProcessId, Rsn>;
+  static constexpr Rsn kRsns = 8;
+
+  static Key key_of(const Determinant& d) { return {d.dest, d.rsn}; }
+
+  [[nodiscard]] bool is_active(const HeldDeterminant& h) const {
+    return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < threshold_;
+  }
+
+  /// (dest, rsn) fixes source and ssn, so records never conflict.
+  HeldDeterminant random_held() {
+    const auto dest = static_cast<std::uint32_t>(rng_.bounded(kProcs));
+    const Rsn rsn = rng_.bounded(kRsns) + 1;
+    HeldDeterminant h{det((dest + 1 + static_cast<std::uint32_t>(rsn) % 3) % kProcs,
+                          rsn * 10 + dest, dest, rsn),
+                      0};
+    for (std::uint32_t p = 0; p < kProcs; ++p) {
+      if (rng_.chance(0.25)) h.holders |= holder_bit(ProcessId{p});
+    }
+    if (rng_.chance(0.1)) h.holders |= kStableHolder;
+    return h;
+  }
+
+  void merge(const HeldDeterminant& h) {
+    const auto [it, inserted] = model_.try_emplace(key_of(h.det), h);
+    if (!inserted) it->second.holders |= h.holders;
+  }
+
+  Rng rng_;
+  int threshold_{64};
+  DeterminantLog log_;
+  std::map<Key, HeldDeterminant> model_;
+};
+
+TEST(DetLogModelTest, MatchesReferenceModelOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    DetLogModel model(seed);
+    for (int i = 0; i < 300; ++i) {
+      model.step();
+      model.check();
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << i;
+      }
+    }
+  }
 }
 
 TEST_F(DetLogFixture, ConflictingDeterminantAborts) {

@@ -390,6 +390,83 @@ TEST(DecoderHardening, LengthLyingCountsAreRejectedNotAllocated) {
   EXPECT_THROW((void)fbl::AppFrame::decode(r), SerdeError);
 }
 
+// Keyed collections (incvectors, watermarks, live marks, the determinant
+// log) must reject a lying count up front too, not insert entry after entry
+// until the bytes run out. Each case claims three entries and carries two
+// zeroed (valid) ones; the reader must stop at the count.
+TEST(DecoderHardening, LyingKeyedCountsAreRejectedBeforeAnyEntry) {
+  struct Case {
+    const char* what;
+    void (*head)(BufWriter&);  ///< control body up to the lying count
+    std::size_t entry_bytes;
+  };
+  const Case cases[] = {
+      {"DepInstall incvector",
+       [](BufWriter& w) {
+         w.u8(9);   // DepInstall
+         w.u64(1);  // round
+       },
+       4 + 4},
+      {"DepInstall live marks",
+       [](BufWriter& w) {
+         w.u8(9);
+         w.u64(1);
+         w.varint(0);  // empty incvector
+         w.varint(0);  // no determinants
+       },
+       4 + 1},
+      {"DepRequest incvector delta",
+       [](BufWriter& w) {
+         w.u8(7);           // DepRequest
+         w.u64(1);          // round
+         w.boolean(false);  // block
+         w.boolean(false);  // defer
+         w.u32(0);          // leader
+         w.u32(1);          // leader_inc
+         w.varint(0);       // arity
+         w.varint(0);       // delta.base_version
+         w.varint(0);       // delta.version
+         w.boolean(true);   // delta.full
+       },
+       4 + 4},
+      {"RecoveryComplete watermarks",
+       [](BufWriter& w) {
+         w.u8(10);  // RecoveryComplete
+         w.u32(2);  // inc
+       },
+       4 + 8},
+  };
+  for (const Case& c : cases) {
+    BufWriter w;
+    w.u8(static_cast<std::uint8_t>(fbl::FrameKind::kControl));
+    c.head(w);
+    w.varint(3);
+    for (std::size_t i = 0; i < 2 * c.entry_bytes; ++i) w.u8(0);
+    const Bytes bytes = std::move(w).take();
+    BufReader r(bytes);
+    ASSERT_EQ(fbl::decode_kind(r), fbl::FrameKind::kControl);
+    EXPECT_THROW((void)recovery::decode_control(r), SerdeError) << c.what;
+    EXPECT_EQ(r.remaining(), 2 * c.entry_bytes) << c.what;
+  }
+}
+
+TEST(DecoderHardening, LyingCheckpointLogCountIsRejectedBeforeAnyEntry) {
+  // Two determinants for one receipt order: recording both would abort on
+  // the conflict, so only an up-front count check survives this input.
+  BufWriter w;
+  w.u32(0x46424C43);  // checkpoint magic
+  w.u16(1);           // version
+  w.boolean(true);    // app_started
+  w.u64(1);           // rsn
+  w.varint(0);        // send_seq
+  w.varint(0);        // recv_marks
+  w.varint(0);        // send log
+  w.varint(3);        // determinant count; only two follow
+  fbl::HeldDeterminant{{ProcessId{1}, 1, ProcessId{2}, 1}, 0}.encode(w);
+  fbl::HeldDeterminant{{ProcessId{3}, 9, ProcessId{2}, 1}, 0}.encode(w);
+  EXPECT_THROW((void)fbl::Checkpoint::decode(std::move(w).take()), SerdeError);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
