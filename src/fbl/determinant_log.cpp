@@ -7,9 +7,11 @@
 
 namespace rr::fbl {
 
-void DeterminantLog::set_propagation_threshold(int holders_needed) {
+void DeterminantLog::set_propagation_threshold(int holders_needed, std::uint32_t processes) {
   RR_CHECK(holders_needed >= 1);
+  RR_CHECK(processes >= 1 && processes <= kMaxProcesses);
   threshold_ = holders_needed;
+  processes_ = static_cast<int>(processes);
   active_.clear();
   for (const auto& [key, h] : by_dest_rsn_) reindex(key, h);
 }
@@ -74,6 +76,14 @@ std::vector<HeldDeterminant> DeterminantLog::piggyback_for(ProcessId to) const {
 
 std::vector<HeldDeterminant> DeterminantLog::piggyback_all() const {
   std::vector<HeldDeterminant> out;
+  if (threshold_ > processes_) {
+    // Pruned sends at f = n: determinants all n processes hold are off the
+    // index but still count until stable storage has them.
+    for (const auto& [key, h] : by_dest_rsn_) {
+      if (below(h, threshold_)) out.push_back(h);
+    }
+    return out;
+  }
   out.reserve(active_.size());
   for (const Key& key : active_) out.push_back(by_dest_rsn_.find(key)->second);
   return out;

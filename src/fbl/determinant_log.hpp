@@ -13,12 +13,16 @@
 //    past their rsn can never be replayed and are dropped.
 //
 // One ordered map holds the facts; one ordered index, `active_`, holds the
-// keys of the piggyback candidates (below the propagation threshold and not
-// stable). A send filters the active set by the destination's holder bit,
-// so no per-destination state exists to keep in step. The active set stays
-// small: a determinant leaves it once f+1 processes hold it. Scans of the
-// whole log (unstable, slice_for, forget_holder) run once per flush,
-// recovery or recovered peer, not per message.
+// keys of the piggyback candidates: off stable storage, and held by fewer
+// than f+1 processes. A send filters the active set by the destination's
+// holder bit, so no per-destination state exists to keep in step. For
+// f < n the active set stays small: a determinant leaves it once f+1
+// processes hold it. At f = n (threshold n+1) only a stable flush ends
+// propagation, so with pruned sends the determinants every process already
+// holds leave the index too, and piggyback_all() — then only the
+// output-commit barrier — scans the log. Other scans of the whole log
+// (unstable, slice_for, forget_holder) run once per flush, recovery or
+// recovered peer, not per message.
 //
 // The holder mask a process keeps is its *local knowledge* — possibly
 // behind reality, never ahead of it on the conservative side that matters:
@@ -27,6 +31,7 @@
 // themselves can be missing holders, which the f+1 rule absorbs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -41,9 +46,11 @@ namespace rr::fbl {
 class DeterminantLog {
  public:
   /// Propagation stops once a determinant is known at `holders_needed`
-  /// (= f+1) processes. Defaults to "never" until the engine configures it;
+  /// (= f+1) processes. One all `processes` hold leaves the active set even
+  /// below that: pass n only when sends are pruned, since an un-pruned send
+  /// still carries it. Defaults to "never" until the engine configures it;
   /// the call reindexes, so it is safe after decode()/load.
-  void set_propagation_threshold(int holders_needed);
+  void set_propagation_threshold(int holders_needed, std::uint32_t processes = kMaxProcesses);
 
   /// Record `h` (merging holder knowledge if already present). Returns true
   /// if the determinant was new to this log. Two records disagreeing on
@@ -67,10 +74,11 @@ class DeterminantLog {
   /// those already known to be held by `to`. Ordered by (dest, rsn).
   [[nodiscard]] std::vector<HeldDeterminant> piggyback_for(ProcessId to) const;
 
-  /// The whole active set, ignoring per-destination knowledge — the
-  /// un-pruned baseline the scale bench contrasts against, and the
-  /// output-commit barrier (exactly the determinants below f+1 holders and
-  /// off stable storage). Ordered by (dest, rsn).
+  /// Every determinant below f+1 holders and off stable storage, ignoring
+  /// per-destination knowledge — the un-pruned baseline the scale bench
+  /// contrasts against, and the output-commit barrier. The active set, or a
+  /// scan of the log when the threshold exceeds `processes` (pruned sends at
+  /// f = n). Ordered by (dest, rsn).
   [[nodiscard]] std::vector<HeldDeterminant> piggyback_all() const;
 
   /// All determinants destined to any process in `dests` — the depinfo
@@ -107,13 +115,20 @@ class DeterminantLog {
  private:
   using Key = std::pair<ProcessId, Rsn>;
 
+  /// Off stable storage and below `holders` known holders.
+  [[nodiscard]] static bool below(const HeldDeterminant& h, int holders) {
+    return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < holders;
+  }
+  /// A send could still carry `h` to someone: at f = n, where the
+  /// threshold exceeds n, a pruned send carries one all n hold to no one.
   [[nodiscard]] bool is_active(const HeldDeterminant& h) const {
-    return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < threshold_;
+    return below(h, std::min(threshold_, processes_));
   }
   /// Bring `key`'s membership of the active set in line with `h`.
   void reindex(const Key& key, const HeldDeterminant& h);
 
   int threshold_{64};  // effectively "keep propagating" until configured
+  int processes_{static_cast<int>(kMaxProcesses)};
   std::map<Key, HeldDeterminant> by_dest_rsn_;
   std::set<Key> active_;  // piggyback candidates, in (dest, rsn) order
 };

@@ -12,7 +12,13 @@ LoggingEngine::LoggingEngine(EngineConfig config) : config_(config) {
   RR_CHECK_MSG(config_.f >= 1, "f must be at least 1");
   RR_CHECK_MSG(config_.num_processes >= 2, "need at least two processes");
   RR_CHECK_MSG(config_.f <= config_.num_processes, "f cannot exceed n");
-  det_log_.set_propagation_threshold(static_cast<int>(config_.f) + 1);
+  configure_det_log();
+}
+
+void LoggingEngine::configure_det_log() {
+  det_log_.set_propagation_threshold(static_cast<int>(config_.f) + 1,
+                                     config_.prune_piggyback ? config_.num_processes
+                                                             : kMaxProcesses);
 }
 
 LoggingEngine::SendResult LoggingEngine::make_frame(ProcessId to, Bytes payload,
@@ -134,7 +140,7 @@ void LoggingEngine::load(const Checkpoint& cp) {
   recv_marks_ = cp.recv_marks;
   send_log_ = cp.send_log;
   det_log_ = cp.det_log;
-  det_log_.set_propagation_threshold(static_cast<int>(config_.f) + 1);
+  configure_det_log();
 }
 
 LoggingEngine::GcResult LoggingEngine::on_ckpt_notice(ProcessId peer,

@@ -42,9 +42,9 @@ struct EngineConfig {
   std::uint32_t f{1};
   /// Piggyback pruning (default on): attach only determinants the
   /// destination is not already known to hold. Off = the un-pruned
-  /// baseline — every active determinant rides on every frame — kept as
-  /// the O(n) contrast for the scale bench and the equivalence property
-  /// test. Pruning changes which *copies* travel, never which receipt
+  /// baseline — every determinant below f+1 holders rides on every
+  /// frame — kept as the O(n) contrast for the scale bench and the
+  /// equivalence property test. Pruning changes which *copies* travel, never which receipt
   /// orders exist, so delivered order is bit-identical either way.
   bool prune_piggyback{true};
   /// Set when the reliable transport is in play (lossy fabric): a handed-off
@@ -149,6 +149,10 @@ class LoggingEngine {
   /// Attach the piggyback for `to`, mark (or defer marking) `to` as a
   /// holder of each attached determinant, and encode the frame.
   [[nodiscard]] SendResult attach_and_encode(ProcessId to, AppFrame& frame);
+  /// Set the log's f+1 threshold. Pruned sends never carry a determinant
+  /// every process holds, so only they let the log drop those from its
+  /// index (which matters at f = n).
+  void configure_det_log();
 
   EngineConfig config_;
   Rsn rsn_{0};

@@ -67,10 +67,10 @@ void SendLog::encode(BufWriter& w) const {
 
 SendLog SendLog::decode(BufReader& r) {
   SendLog log;
-  const auto ndest = r.varint();
+  const auto ndest = r.count(4 + 1);  // process id + entry count
   for (std::uint64_t i = 0; i < ndest; ++i) {
     const ProcessId to = r.process_id();
-    const auto n = r.varint();
+    const auto n = r.count(8 + 1);  // ssn + payload length
     for (std::uint64_t j = 0; j < n; ++j) {
       const Ssn ssn = r.u64();
       log.record(to, ssn, r.bytes());

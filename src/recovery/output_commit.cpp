@@ -44,8 +44,8 @@ std::uint64_t OutputCommitManager::commit(Bytes payload) {
   p.id = next_id_++;
   p.payload = std::move(payload);
   p.committed_at = sim_.now();
-  // Barrier: everything currently un-recoverable in our causal past. The
-  // active set is exactly the determinants below f+1 holders and off
+  // Barrier: everything currently un-recoverable in our causal past.
+  // piggyback_all() is exactly the determinants below f+1 holders and off
   // stable storage — the complement of satisfied().
   for (const auto& h : hooks_.det_log().piggyback_all()) p.barrier.push_back(h.det);
   metrics_.counter("output.committed").add();

@@ -12,6 +12,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/explorer.hpp"
@@ -24,6 +25,7 @@ using check::ExploreOptions;
 using check::ExploreResult;
 using check::FaultSchedule;
 using check::Injection;
+using check::RunCapture;
 using check::RunOutcome;
 using check::ScheduleExplorer;
 
@@ -41,7 +43,9 @@ FaultSchedule crash_schedule(std::uint32_t n, std::uint32_t f, std::uint64_t see
   return s;
 }
 
-/// Everything an outcome exposes that a sweep report is built from.
+/// Everything an outcome exposes that a sweep report is built from, plus
+/// the flight dump a failing run carries and, where captured, every
+/// recorded span.
 struct Fingerprint {
   bool terminated;
   bool check_ok;
@@ -50,13 +54,22 @@ struct Fingerprint {
   std::uint64_t injections_applied;
   std::uint64_t state_hash;
   std::string flight_dump;
+  std::string trace_json;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
 
-Fingerprint fingerprint(const RunOutcome& o) {
-  return {o.terminated,         o.check.ok,   o.finished_at, o.phase_events,
-          o.injections_applied, o.state_hash, o.flight_dump};
+Fingerprint fingerprint(const RunOutcome& o, std::string trace_json = {}) {
+  return {o.terminated,  o.check.ok,     o.finished_at, o.phase_events, o.injections_applied,
+          o.state_hash, o.flight_dump, std::move(trace_json)};
+}
+
+/// Run `s` and fingerprint it with its spans exported.
+Fingerprint run_with_spans(const FaultSchedule& s) {
+  RunCapture capture;
+  capture.want_trace_json = true;
+  const RunOutcome o = ScheduleExplorer::run(s, &capture);
+  return fingerprint(o, std::move(capture.trace_json));
 }
 
 TEST(ParallelExplorerTest, ConcurrentSimsMatchBackToBackSerialRuns) {
@@ -66,13 +79,15 @@ TEST(ParallelExplorerTest, ConcurrentSimsMatchBackToBackSerialRuns) {
   const FaultSchedule sa = crash_schedule(4, 2, 11, 0);
   const FaultSchedule sb = crash_schedule(4, 1, 23, 1);
 
-  const Fingerprint serial_a = fingerprint(ScheduleExplorer::run(sa));
-  const Fingerprint serial_b = fingerprint(ScheduleExplorer::run(sb));
+  const Fingerprint serial_a = run_with_spans(sa);
+  const Fingerprint serial_b = run_with_spans(sb);
+  ASSERT_FALSE(serial_a.trace_json.empty());
+  ASSERT_FALSE(serial_b.trace_json.empty());
 
   Fingerprint conc_a, conc_b;
   {
-    std::thread ta([&] { conc_a = fingerprint(ScheduleExplorer::run(sa)); });
-    std::thread tb([&] { conc_b = fingerprint(ScheduleExplorer::run(sb)); });
+    std::thread ta([&] { conc_a = run_with_spans(sa); });
+    std::thread tb([&] { conc_b = run_with_spans(sb); });
     ta.join();
     tb.join();
   }

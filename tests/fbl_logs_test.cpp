@@ -184,12 +184,16 @@ TEST_F(DetLogFixture, EncodeDecodePreservesEverything) {
 
 // Reference model: the log's every query against a plain map of
 // (dest, rsn) -> held determinant and a threshold, over seeded random
-// sequences of every mutation.
+// sequences of every mutation. Thresholds run up to kProcs + 1 (f = n),
+// where determinants all kProcs processes hold leave the active index but
+// stay in piggyback_all().
 class DetLogModel {
  public:
   static constexpr std::uint32_t kProcs = 6;
 
-  explicit DetLogModel(std::uint64_t seed) : rng_(seed) {}
+  explicit DetLogModel(std::uint64_t seed) : rng_(seed) {
+    log_.set_propagation_threshold(threshold_, kProcs);
+  }
 
   void step() {
     switch (rng_.bounded(7)) {
@@ -238,8 +242,8 @@ class DetLogModel {
         break;
       }
       default:
-        threshold_ = static_cast<int>(rng_.bounded(4)) + 1;
-        log_.set_propagation_threshold(threshold_);
+        threshold_ = static_cast<int>(rng_.bounded(kProcs + 1)) + 1;
+        log_.set_propagation_threshold(threshold_, kProcs);
         break;
     }
   }
@@ -248,13 +252,15 @@ class DetLogModel {
     std::vector<HeldDeterminant> all;
     std::vector<HeldDeterminant> active;
     std::vector<Determinant> unstable;
+    std::size_t active_size = 0;
     for (const auto& [key, h] : model_) {
       all.push_back(h);
       if (is_active(h)) active.push_back(h);
+      if (is_active(h) && holder_count(h.holders) < static_cast<int>(kProcs)) ++active_size;
       if ((h.holders & kStableHolder) == 0) unstable.push_back(h.det);
     }
     EXPECT_EQ(log_.size(), all.size());
-    EXPECT_EQ(log_.active_size(), active.size());
+    EXPECT_EQ(log_.active_size(), active_size);
     EXPECT_EQ(log_.piggyback_all(), active);
     EXPECT_EQ(log_.unstable(), unstable);
     EXPECT_EQ(log_.slice_for(~HolderMask{0}), all);
@@ -279,7 +285,7 @@ class DetLogModel {
     log_.encode(w);
     BufReader r(w.view());
     DeterminantLog copy = DeterminantLog::decode(r);
-    copy.set_propagation_threshold(threshold_);
+    copy.set_propagation_threshold(threshold_, kProcs);
     EXPECT_EQ(copy.slice_for(~HolderMask{0}), all);
     EXPECT_EQ(copy.piggyback_all(), active);
   }
@@ -302,7 +308,7 @@ class DetLogModel {
                           rsn * 10 + dest, dest, rsn),
                       0};
     for (std::uint32_t p = 0; p < kProcs; ++p) {
-      if (rng_.chance(0.25)) h.holders |= holder_bit(ProcessId{p});
+      if (rng_.chance(0.4)) h.holders |= holder_bit(ProcessId{p});
     }
     if (rng_.chance(0.1)) h.holders |= kStableHolder;
     return h;

@@ -450,21 +450,56 @@ TEST(DecoderHardening, LyingKeyedCountsAreRejectedBeforeAnyEntry) {
   }
 }
 
-TEST(DecoderHardening, LyingCheckpointLogCountIsRejectedBeforeAnyEntry) {
-  // Two determinants for one receipt order: recording both would abort on
-  // the conflict, so only an up-front count check survives this input.
-  BufWriter w;
-  w.u32(0x46424C43);  // checkpoint magic
-  w.u16(1);           // version
-  w.boolean(true);    // app_started
-  w.u64(1);           // rsn
-  w.varint(0);        // send_seq
-  w.varint(0);        // recv_marks
-  w.varint(0);        // send log
-  w.varint(3);        // determinant count; only two follow
-  fbl::HeldDeterminant{{ProcessId{1}, 1, ProcessId{2}, 1}, 0}.encode(w);
-  fbl::HeldDeterminant{{ProcessId{3}, 9, ProcessId{2}, 1}, 0}.encode(w);
-  EXPECT_THROW((void)fbl::Checkpoint::decode(std::move(w).take()), SerdeError);
+TEST(DecoderHardening, LyingCheckpointLogCountsAreRejectedBeforeAnyEntry) {
+  // Each log body records an entry twice: a duplicate ssn in the send log,
+  // or two determinants for one receipt order. Recording both would abort,
+  // so only an up-front count check survives these inputs.
+  struct Case {
+    const char* what;
+    void (*logs)(BufWriter&);  ///< send log, then determinant log
+  };
+  const Case cases[] = {
+      {"send log destinations",
+       [](BufWriter& w) {
+         w.varint(100);  // destinations; two follow, 14 bytes each
+         for (int i = 0; i < 2; ++i) {
+           w.u32(2);     // to
+           w.varint(1);  // one entry
+           w.u64(7);     // ssn
+           w.varint(0);  // empty payload
+         }
+         w.varint(0);
+       }},
+      {"send log entries",
+       [](BufWriter& w) {
+         w.varint(1);
+         w.u32(2);     // to
+         w.varint(3);  // entries; only two follow
+         for (int i = 0; i < 2; ++i) {
+           w.u64(7);
+           w.varint(0);
+         }
+         w.varint(0);
+       }},
+      {"determinant log",
+       [](BufWriter& w) {
+         w.varint(0);  // send log
+         w.varint(3);  // determinants; only two follow
+         fbl::HeldDeterminant{{ProcessId{1}, 1, ProcessId{2}, 1}, 0}.encode(w);
+         fbl::HeldDeterminant{{ProcessId{3}, 9, ProcessId{2}, 1}, 0}.encode(w);
+       }},
+  };
+  for (const Case& c : cases) {
+    BufWriter w;
+    w.u32(0x46424C43);  // checkpoint magic
+    w.u16(1);           // version
+    w.boolean(true);    // app_started
+    w.u64(1);           // rsn
+    w.varint(0);        // send_seq
+    w.varint(0);        // recv_marks
+    c.logs(w);
+    EXPECT_THROW((void)fbl::Checkpoint::decode(std::move(w).take()), SerdeError) << c.what;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzz, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
